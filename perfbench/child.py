@@ -102,16 +102,6 @@ def check_op(expected: dict, argv, code, stdout: str, check: str,
     return problems
 
 
-def record(argv, code, stdout: str, check: str) -> dict:
-    """The oracle entry this operation's outputs would satisfy."""
-    entry = observe(argv, code, stdout, check)
-    out = json_output(argv)
-    if check == "full" and out and argv[0] == "search":
-        doc = json.loads(Path(out).read_text(encoding="utf-8"))
-        entry["witness_sha256"] = _witness_digest(doc["witnesses"])
-    return entry
-
-
 def run_pass(args) -> dict:
     pkg = _cold_import()
     pkg.build_catalog()
@@ -155,13 +145,10 @@ def run_pass(args) -> dict:
         tracer.uninstall()
         tracer.write_spans(args.spans)
 
-    oracle = ({} if args.record else
-              json.loads(Path(args.expected).read_text(encoding="utf-8")))
+    oracle = json.loads(Path(args.expected).read_text(encoding="utf-8"))
     oracle = oracle.get(args.workload, {})
-    failures, recorded = {}, {}
+    failures = {}
     for key, argv, check, code, stdout, error in runs:
-        if args.record:
-            recorded[key] = record(argv, code, stdout, check)
         if error is not None:
             failures[key] = [error]
         elif key not in oracle:
@@ -179,8 +166,6 @@ def run_pass(args) -> dict:
               "failed": len(failures), "failures": failures}
     if tracer:
         result["layers"] = tracer.metrics()
-    if args.record:
-        result["recorded"] = recorded
     return result
 
 
@@ -193,8 +178,6 @@ def main() -> int:
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--spans", help="where a traced pass writes its spans")
-    ap.add_argument("--record", action="store_true",
-                    help="also return the oracle entries these outputs satisfy")
     result = run_pass(ap.parse_args())
     print(json.dumps(result))
     return 0

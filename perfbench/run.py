@@ -6,19 +6,23 @@ Run from the root of a checkout; the package is imported from its ``src/``.
 Each pass of the workload runs in a fresh interpreter (``child.py``), so the
 package's process-global caches start cold, as they do for a CLI user.
 Whole passes are run one after another (a closed loop with one client)
-until ``--seconds`` have elapsed, so a pass longer than that runs once.  Every
-operation's outputs are checked against ``expected.json``; a mismatch is
-counted in ``failed`` and the run goes on.
+until ``--seconds`` have elapsed, so a pass longer than that runs once.  Every operation's outputs are checked against
+``expected.json``; a mismatch is counted in ``failed`` and the run goes on.
 
 With ``--trace 0`` the last line of standard output holds the end-to-end
-metrics: ``wall_s`` and ``cpu_s`` (median over passes, first operation to
+metrics: ``wall_s`` and ``cpu_s`` (minimum over passes, first operation to
 last verdict), ``setup_s`` (median over set-up probes and passes: interpreter
 start, ``import schreierkit``, ``build_catalog()``) and ``peak_rss_mb``
-(highest over passes).  With ``--trace 1`` it runs one untraced and one
-traced pass and reports the per-layer metrics of the traced pass, plus
-``trace.overhead_s``, the traced ``wall_s`` minus the untraced one; traced
-timings are not end-to-end numbers.  The spans of the traced pass are
-written to ``perfbench/out/spans-<workload>.bin`` (see ``tracer.read_spans``).
+(highest over passes).  On a shared machine, other tenants slow a pass down
+in bursts of a second or so; that only ever adds time, so the fastest pass
+is the steadiest estimate of what the code costs.  The set-up probes run
+between the passes, so they sample the same stretch of time.
+
+With ``--trace 1`` it runs one untraced and one traced pass and reports the
+per-layer metrics of the traced pass, plus ``trace.overhead_s``, the traced
+``wall_s`` minus the untraced one; traced timings are not end-to-end
+numbers.  The spans of the traced pass are written to
+``perfbench/out/spans-<workload>.bin`` (format: ``Tracer.write_spans``).
 
 Why these workloads and which layer metric should move which end-to-end
 metric is written down in ``perfbench/README.md``.
@@ -44,13 +48,14 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
 EXPECTED = HERE / "expected.json"
-SETUP_PROBES = 10
+SETUP_PROBES = 10  # at least this many set-up-only probes per run
+PROBES_PER_PASS = 3  # of which this many run before each pass
 # Every run must end within 180 s; a pass that takes longer is killed.
 PASS_TIMEOUT_S = 170
 
 
 def run_child(workload: str, seed: int, *, setup_only=False, trace=False,
-              expected: Path = EXPECTED, record=False) -> dict:
+              expected: Path = EXPECTED) -> dict:
     """Run one pass (or one set-up probe) in a fresh interpreter.
 
     The pass runs in a scratch directory under perfbench/out, so the files
@@ -65,8 +70,6 @@ def run_child(workload: str, seed: int, *, setup_only=False, trace=False,
            "--spans", str(OUT / f"spans-{workload}.bin")]
     if setup_only:
         cmd.append("--setup-only")
-    if record:
-        cmd.append("--record")
     try:
         proc = subprocess.run(cmd + ["--t0", repr(time.monotonic())], cwd=work,
                               stdout=subprocess.PIPE, text=True,
@@ -88,18 +91,20 @@ def _report_failures(passes: list[dict]) -> None:
 def measure(workload: str, seed: int, seconds: float) -> dict:
     pass_seeds = random.Random(seed)
     run_child(workload, seed, setup_only=True)  # warm-up: compiles bytecode
-    setups = [run_child(workload, seed, setup_only=True)["setup_s"]
-              for _ in range(SETUP_PROBES)]
-    passes = []
+    setups, passes = [], []
     start = time.monotonic()
     while not passes or time.monotonic() - start < seconds:
+        setups += [run_child(workload, seed, setup_only=True)["setup_s"]
+                   for _ in range(PROBES_PER_PASS)]
         passes.append(run_child(workload, pass_seeds.randrange(2 ** 31)))
+    setups += [run_child(workload, seed, setup_only=True)["setup_s"]
+               for _ in range(SETUP_PROBES - len(setups))]
     _report_failures(passes)
     return {
         "passes": passes,
         "metrics": {
-            "wall_s": (statistics.median(p["wall_s"] for p in passes), "s"),
-            "cpu_s": (statistics.median(p["cpu_s"] for p in passes), "s"),
+            "wall_s": (min(p["wall_s"] for p in passes), "s"),
+            "cpu_s": (min(p["cpu_s"] for p in passes), "s"),
             "setup_s": (statistics.median(setups + [p["setup_s"] for p in passes]), "s"),
             "peak_rss_mb": (max(p["peak_rss_mb"] for p in passes), "MB"),
         },

@@ -7,10 +7,10 @@ wrapper too; a class is traced by wrapping its ``__init__``.  `uninstall`
 puts every original back.  Nothing under ``src/`` changes.
 
 Each call records a span (name, start, end, parent span, operation id) in
-flat arrays kept in memory; `write_spans` stores them when the run ends and
-`read_spans` loads them back.  Self time is a span's duration minus the
-time its child spans cover.  The work counters run after the traced call
-has returned, and their cost is kept out of every span's self time.
+flat arrays kept in memory; `write_spans` stores them when the run ends.
+Self time is a span's duration minus the time its child spans cover.  The
+work counters run after the traced call has returned, and their cost is
+kept out of every span's self time.
 """
 
 from __future__ import annotations
@@ -261,17 +261,3 @@ class Tracer:
             for _, a in columns:
                 a.tofile(fh)
 
-
-def read_spans(path) -> list[dict]:
-    """Load a span file written by `Tracer.write_spans` on this machine."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        cols = {}
-        for key, code in header["columns"]:
-            a = array(code)
-            a.fromfile(fh, header["count"])
-            cols[key] = a
-    names = header["names"]
-    return [{"id": i, "name": names[cols["name"][i]], "parent": cols["parent"][i],
-             "op": cols["op"][i], "start": cols["start"][i], "end": cols["end"][i]}
-            for i in range(header["count"])]

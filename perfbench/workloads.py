@@ -22,7 +22,8 @@ from __future__ import annotations
 
 # Far above the run time of any of these searches, so they always complete.
 NO_TIMEOUT = "100000"
-# Above the 296 witnesses of SSFLFailureOffClass on jt at max size 3.
+# Above the 296 witnesses of SSFLFailureOffClass on jt at max size 3, and far
+# above what the 1 s deadline search finds, so only its clock can end it.
 NO_WITNESS_CAP = "100000"
 
 
@@ -67,7 +68,8 @@ WORKLOADS = {
     "jt4-deadline": [(
         "search NonSchreier jt 4 timeout 1",
         ["search", "--goal", "NonSchreier", "--variety", "jt",
-         "--max-size", "4", "--timeout", "1", "--json", "NonSchreier-jt4.json"],
+         "--max-size", "4", "--timeout", "1",
+         "--max-witnesses", NO_WITNESS_CAP, "--json", "NonSchreier-jt4.json"],
         "deadline")],
 }
 
