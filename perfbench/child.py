@@ -9,6 +9,12 @@ Set-up is interpreter start (``--t0``, a ``time.monotonic`` reading taken by
 the parent just before it started this process; the clock is system-wide),
 ``import schreierkit`` and ``build_catalog()``.  ``wall_s`` and ``cpu_s``
 run from the first operation to the last verdict; the checks come after.
+
+While set-up and the operations run, a timer signal runs a fixed slice of
+bytecode (the speed probe, `_probe`) every ``PROBE_INTERVAL_S`` and times
+it.  The mean probe time says how fast the host ran this process over that
+same stretch; ``setup_probe_s`` and ``probe_s`` report it for the two phases.
+``clocked_s`` is the time the deadline searches ran against their clock.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import io
 import json
 import re
 import resource
+import signal
 import sys
 import time
 import traceback
@@ -28,6 +35,47 @@ from pathlib import Path
 from workloads import WORKLOADS, json_output, with_seed
 
 ROOT = Path(__file__).resolve().parent.parent
+# How long a search ran against its --timeout clock, as the CLI prints it.
+CLOCK_LINE = re.compile(r"^examined: \d+ instances in ([0-9.]+)s$", re.M)
+PROBE_INTERVAL_S = 0.01  # under 1% of the pass goes to the probe
+_probe_times: list[float] = []
+# The probe reads one cached row 1,500 times.  It allocates nothing the
+# garbage collector tracks, so what the package has allocated does not change
+# its work.  A probe that built a dict of tuples on each call tracked the
+# speed of a pass less well.
+_PROBE_ROWS = [(1,)]
+_PROBE_STEPS = [0] * 1_500
+
+
+def _probe() -> int:
+    """A fixed slice of bytecode (about 0.06 ms) that does not use the package."""
+    rows, total = _PROBE_ROWS, 0
+    for i in _PROBE_STEPS:
+        total += rows[i][0]
+    return total
+
+
+def _on_timer(signum, frame) -> None:
+    t0 = time.perf_counter()
+    _probe()
+    _probe_times.append(time.perf_counter() - t0)
+    signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S)  # one-shot: never nests
+
+
+def _start_probes() -> None:
+    _probe_times.clear()
+    signal.signal(signal.SIGALRM, _on_timer)
+    signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S)
+
+
+def _stop_probes() -> float:
+    """Stop the timer; the mean probe time since `_start_probes`."""
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    if not _probe_times:  # a phase shorter than one interval: time one probe now
+        t0 = time.perf_counter()
+        _probe()
+        _probe_times.append(time.perf_counter() - t0)
+    return sum(_probe_times) / len(_probe_times)
 
 
 def _cpu_s() -> float:
@@ -103,11 +151,13 @@ def check_op(expected: dict, argv, code, stdout: str, check: str,
 
 
 def run_pass(args) -> dict:
+    _start_probes()
     pkg = _cold_import()
     pkg.build_catalog()
     setup_s = time.monotonic() - args.t0
+    setup_probe_s = _stop_probes()
     if args.setup_only:
-        return {"setup_s": setup_s}
+        return {"setup_s": setup_s, "setup_probe_s": setup_probe_s}
 
     from schreierkit import cli, replay_witness, suites
     tracer = None
@@ -118,6 +168,7 @@ def run_pass(args) -> dict:
 
     ops = WORKLOADS[args.workload]
     runs = []
+    _start_probes()
     wall0, cpu0 = time.perf_counter(), _cpu_s()
     for i, (key, argv, check) in enumerate(ops):
         argv = with_seed(argv, args.seed)
@@ -140,6 +191,7 @@ def run_pass(args) -> dict:
         runs.append((key, argv, check, code, buf.getvalue(), error))
     wall_s = time.perf_counter() - wall0
     cpu_s = _cpu_s() - cpu0
+    probe_s = _stop_probes()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer:
         tracer.uninstall()
@@ -161,7 +213,14 @@ def run_pass(args) -> dict:
                 problems = [f"unreadable output: {exc!r}"]
             if problems:
                 failures[key] = problems
-    result = {"setup_s": setup_s, "wall_s": wall_s, "cpu_s": cpu_s,
+    clocked_s = 0.0
+    for _, _, check, _, stdout, _ in runs:
+        clock = CLOCK_LINE.search(stdout) if check == "deadline" else None
+        if clock:
+            clocked_s += float(clock.group(1))
+    result = {"setup_s": setup_s, "setup_probe_s": setup_probe_s,
+              "wall_s": wall_s, "cpu_s": cpu_s, "probe_s": probe_s,
+              "clocked_s": clocked_s,
               "peak_rss_mb": peak_rss_mb, "attempted": len(runs),
               "failed": len(failures), "failures": failures}
     if tracer:

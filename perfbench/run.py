@@ -6,17 +6,26 @@ Run from the root of a checkout; the package is imported from its ``src/``.
 Each pass of the workload runs in a fresh interpreter (``child.py``), so the
 package's process-global caches start cold, as they do for a CLI user.
 Whole passes are run one after another (a closed loop with one client)
-until ``--seconds`` have elapsed, so a pass longer than that runs once.  Every operation's outputs are checked against
-``expected.json``; a mismatch is counted in ``failed`` and the run goes on.
+until ``--seconds`` have elapsed, so a pass longer than that runs once.
+Every operation's outputs are checked against ``expected.json``; a mismatch
+is counted in ``failed`` and the run goes on.
 
 With ``--trace 0`` the last line of standard output holds the end-to-end
 metrics: ``wall_s`` and ``cpu_s`` (minimum over passes, first operation to
 last verdict), ``setup_s`` (median over set-up probes and passes: interpreter
 start, ``import schreierkit``, ``build_catalog()``) and ``peak_rss_mb``
-(highest over passes).  On a shared machine, other tenants slow a pass down
-in bursts of a second or so; that only ever adds time, so the fastest pass
-is the steadiest estimate of what the code costs.  The set-up probes run
-between the passes, so they sample the same stretch of time.
+(highest over passes).
+
+The three times are given at a reference host speed.  On a shared machine
+each vCPU runs slower or faster by up to 2x, in bursts of seconds and in
+drifts over minutes.  So every child process times a fixed slice of
+bytecode every 10 ms while it runs (the speed probe, ``child._probe``), and
+its measured seconds are scaled by ``REF_PROBE_S`` over the mean probe time:
+a pass that ran while the host was 1.5x slow reports two thirds of its
+measured time.  The time a search spends running until its ``--timeout``
+lasts as long on any host and is not scaled.  The probe does not use the
+package, so a change to the package moves these times and not the scale.
+Each pass's measured times and host speed are written to standard error.
 
 With ``--trace 1`` it runs one untraced and one traced pass and reports the
 per-layer metrics of the traced pass, plus ``trace.overhead_s``, the traced
@@ -52,6 +61,23 @@ SETUP_PROBES = 10  # at least this many set-up-only probes per run
 PROBES_PER_PASS = 3  # of which this many run before each pass
 # Every run must end within 180 s; a pass that takes longer is killed.
 PASS_TIMEOUT_S = 170
+# The speed-probe time that counts as reference speed: about the mean time of
+# child._probe inside a pass on a shared 2-vCPU 2.1 GHz Xeon VM (Python 3.11)
+# at its usual speed.  Any fixed value would do; commits are compared by ratios.
+REF_PROBE_S = 5.5e-5
+
+
+def at_ref_speed(seconds: float, probe_s: float, clocked_s: float = 0.0) -> float:
+    """Measured seconds rescaled to a host on which the probe takes REF_PROBE_S.
+
+    ``clocked_s`` of them were spent running a search until its --timeout, which
+    lasts as long on any host, so that part is not rescaled.
+    """
+    return (seconds - clocked_s) * REF_PROBE_S / probe_s + clocked_s
+
+
+def _scaled(p: dict, key: str) -> float:
+    return at_ref_speed(p[key], p["probe_s"], p["clocked_s"])
 
 
 def run_child(workload: str, seed: int, *, setup_only=False, trace=False,
@@ -82,6 +108,13 @@ def run_child(workload: str, seed: int, *, setup_only=False, trace=False,
     return json.loads(lines[-1])
 
 
+def _report_passes(passes: list[dict]) -> None:
+    for i, p in enumerate(passes):
+        print(f"pass {i}: measured wall {p['wall_s']:.3f} s, cpu {p['cpu_s']:.3f} s; "
+              f"host at {REF_PROBE_S / p['probe_s']:.3f}x the reference speed",
+              file=sys.stderr)
+
+
 def _report_failures(passes: list[dict]) -> None:
     for p in passes:
         for key, problems in p["failures"].items():
@@ -94,18 +127,20 @@ def measure(workload: str, seed: int, seconds: float) -> dict:
     setups, passes = [], []
     start = time.monotonic()
     while not passes or time.monotonic() - start < seconds:
-        setups += [run_child(workload, seed, setup_only=True)["setup_s"]
+        setups += [run_child(workload, seed, setup_only=True)
                    for _ in range(PROBES_PER_PASS)]
         passes.append(run_child(workload, pass_seeds.randrange(2 ** 31)))
-    setups += [run_child(workload, seed, setup_only=True)["setup_s"]
+    setups += [run_child(workload, seed, setup_only=True)
                for _ in range(SETUP_PROBES - len(setups))]
+    _report_passes(passes)
     _report_failures(passes)
     return {
         "passes": passes,
         "metrics": {
-            "wall_s": (min(p["wall_s"] for p in passes), "s"),
-            "cpu_s": (min(p["cpu_s"] for p in passes), "s"),
-            "setup_s": (statistics.median(setups + [p["setup_s"] for p in passes]), "s"),
+            "wall_s": (min(_scaled(p, "wall_s") for p in passes), "s"),
+            "cpu_s": (min(_scaled(p, "cpu_s") for p in passes), "s"),
+            "setup_s": (statistics.median(at_ref_speed(p["setup_s"], p["setup_probe_s"])
+                                          for p in setups + passes), "s"),
             "peak_rss_mb": (max(p["peak_rss_mb"] for p in passes), "MB"),
         },
     }
@@ -116,10 +151,11 @@ def trace(workload: str, seed: int) -> dict:
     run_child(workload, seed, setup_only=True)  # warm-up: compiles bytecode
     plain = run_child(workload, pass_seed)
     traced = run_child(workload, pass_seed, trace=True)
+    _report_passes([plain, traced])
     _report_failures([plain, traced])
     units = layer_metric_units()
     metrics = {name: (traced["layers"][name], unit) for name, unit in units.items()}
-    metrics["trace.overhead_s"] = (traced["wall_s"] - plain["wall_s"], "s")
+    metrics["trace.overhead_s"] = (_scaled(traced, "wall_s") - _scaled(plain, "wall_s"), "s")
     return {"passes": [plain, traced], "metrics": metrics}
 
 
