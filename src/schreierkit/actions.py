@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra, Table,
-                      check_hom, enumerate_homs, identity_hom, make_algebra,
-                      same_signature, validate_algebra)
+                      check_hom, enumerate_homs, hom_maps, identity_hom,
+                      make_algebra, same_signature, validate_algebra)
 from .errors import (ComputationError, InvalidAction, NotSchreier,
                      SignatureMismatch, StructuralError)
 from .points import (Point, PointMorphism, SchreierWitness, check_schreier,
@@ -26,13 +26,17 @@ from .points import (Point, PointMorphism, SchreierWitness, check_schreier,
 MONOID_KINDS = (Kind.MONOID, Kind.COMMUTATIVE_MONOID)
 
 
-def _check_table(t, rows: int, cols: int, what: str) -> Table:
+def _check_table(t, rows: int, cols: int, size: int, what: str) -> Table:
+    # Shape rows x cols, entries integers in range(size), as algebra._as_table.
     if len(t) != rows:
         raise StructuralError(f"{what}: expected {rows} rows, got {len(t)}")
     out = []
     for i, row in enumerate(t):
         if len(row) != cols:
             raise StructuralError(f"{what}: row {i} has {len(row)} entries, expected {cols}")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
+                raise StructuralError(f"{what}: entry {v!r} in row {i} out of range 0..{size - 1}")
         out.append(tuple(row))
     return tuple(out)
 
@@ -48,11 +52,8 @@ class MonoidAction:
     def __post_init__(self):
         if self.B.kind not in MONOID_KINDS or self.X.kind not in MONOID_KINDS:
             raise SignatureMismatch("monoid action needs monoid-kind B and X")
-        object.__setattr__(self, "act", _check_table(self.act, self.B.size, self.X.size, "act"))
-        for row in self.act:
-            for v in row:
-                if not (0 <= v < self.X.size):
-                    raise StructuralError(f"act value {v} out of range for X of size {self.X.size}")
+        b, x = self.B.size, self.X.size
+        object.__setattr__(self, "act", _check_table(self.act, b, x, x, "act"))
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,9 @@ class SemiringAction:
     def __post_init__(self):
         if self.B.kind is not Kind.SEMIRING or self.X.kind is not Kind.SEMIRING:
             raise SignatureMismatch("semiring action needs semiring-kind B and X")
-        object.__setattr__(self, "left", _check_table(self.left, self.B.size, self.X.size, "act-left"))
-        object.__setattr__(self, "right", _check_table(self.right, self.X.size, self.B.size, "act-right"))
-        for row in self.left:
-            for v in row:
-                if not (0 <= v < self.X.size):
-                    raise StructuralError("left action value out of range")
-        for row in self.right:
-            for v in row:
-                if not (0 <= v < self.X.size):
-                    raise StructuralError("right action value out of range")
+        b, x = self.B.size, self.X.size
+        object.__setattr__(self, "left", _check_table(self.left, b, x, x, "act-left"))
+        object.__setattr__(self, "right", _check_table(self.right, x, b, x, "act-right"))
 
 
 Action = MonoidAction | SemiringAction
@@ -329,25 +323,24 @@ def restrict_action(h: Hom, a: Action) -> Action:
 
 def equivariant_homs(a1: Action, a2: Action, *,
                      guard: int = DEFAULT_HOM_GUARD) -> tuple[Hom, ...]:
-    """Homs X1 -> X2 commuting with the actions of the common base."""
+    """Homs X1 -> X2 commuting with the actions; only passing maps become Homs."""
     if a1.B != a2.B:
         raise SignatureMismatch("equivariant homs need actions of the same base")
     if not same_signature(a1.X, a2.X):
         raise SignatureMismatch("equivariant homs need carriers of one signature")
-    out = []
+    maps = hom_maps(a1.X, a2.X, guard=guard)
+    xs = a1.X.elements
     if isinstance(a1, MonoidAction):
-        for h in enumerate_homs(a1.X, a2.X, guard=guard):
-            if all(h.map[a1.act[b][x]] == a2.act[b][h.map[x]]
-                   for b in a1.B.elements for x in a1.X.elements):
-                out.append(h)
+        squares = tuple(zip(a1.act, a2.act))
+        keep = [m for m in maps
+                if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs)]
     else:
-        for h in enumerate_homs(a1.X, a2.X, guard=guard):
-            if (all(h.map[a1.left[b][x]] == a2.left[b][h.map[x]]
-                    for b in a1.B.elements for x in a1.X.elements)
-                    and all(h.map[a1.right[x][b]] == a2.right[h.map[x]][b]
-                            for x in a1.X.elements for b in a1.B.elements)):
-                out.append(h)
-    return tuple(out)
+        squares = tuple(zip(a1.left, a2.left))
+        bs, right1, right2 = a1.B.elements, a1.right, a2.right
+        keep = [m for m in maps
+                if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs)
+                and all(m[right1[x][b]] == right2[m[x]][b] for x in xs for b in bs)]
+    return tuple(Hom(a1.X, a2.X, m) for m in keep)
 
 
 def additive_reduct(a: TabularAlgebra) -> TabularAlgebra:

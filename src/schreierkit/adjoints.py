@@ -11,7 +11,8 @@ gamma(x)(b) = beta(b . x).  When h is surjective and a basepoint-preserving
 set-section is chosen, L(B, M) collapses onto a submonoid of M; with a
 non-pointed section the displayed submonoid can fail to be isomorphic to
 L(B, M), so cofree_mon_surjective records the comparison's outcome as data
-instead of assuming it.
+instead of assuming it.  It compares against a CofreeTable the caller built,
+so a sweep over sections builds L(B, M) once per (h, F).
 
 For semirings along a surjective h, the right adjoint is the invariant
 subalgebra R_h(X) = { x | e1 . x = e2 . x and x . e1 = x . e2 whenever
@@ -203,11 +204,13 @@ class SurjectiveCofree:
     failure: str | None
 
 
-def cofree_mon_surjective(h: Hom, F: MonoidAction, sect, *,
-                          guard: int = DEFAULT_FUNC_GUARD) -> SurjectiveCofree:
-    """The simplified L(B, M) along a surjective h with a chosen set-section."""
-    if F.B != h.source:
-        raise StructuralError("cofree_mon_surjective: the action must act by the source of h")
+def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
+    """The simplified L(B, M) along a surjective h with a chosen set-section.
+
+    c = cofree_mon(h, F) carries h and F; the submonoid is compared against
+    c.elements, so c can be shared by every section of the same (h, F).
+    """
+    h, F = c.h, c.m_action
     if not h.is_surjective():
         raise StructuralError("cofree_mon_surjective needs a surjective h")
     E, B, M = h.source, h.target, F.X
@@ -228,8 +231,7 @@ def cofree_mon_surjective(h: Hom, F: MonoidAction, sect, *,
             if M.add[m1][m2] not in mset:
                 raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
     monoid, embed = restrict_to_subalgebra(M, members)
-    cofree = cofree_mon(h, F, guard=guard)
-    pos = {u: i for i, u in enumerate(cofree.elements)}
+    pos = {u: i for i, u in enumerate(c.elements)}
     compare = []
     for m in embed:
         u = tuple(act[sect[b]][m] for b in B.elements)
@@ -238,8 +240,8 @@ def cofree_mon_surjective(h: Hom, F: MonoidAction, sect, *,
             raise ComputationError(f"comparison image {u} escapes L(B, M)")
         compare.append(i)
     compare = tuple(compare)
-    is_iso, failure = _compare_verdict(monoid, cofree, compare)
-    return SurjectiveCofree(h, F, sect, members, monoid, embed, cofree,
+    is_iso, failure = _compare_verdict(monoid, c, compare)
+    return SurjectiveCofree(h, F, sect, members, monoid, embed, c,
                             compare, is_iso, failure)
 
 
@@ -426,8 +428,9 @@ def verify_adjunction_srng(h: Hom, G: SemiringAction, F: SemiringAction, *,
     naturality_ok = True
     if bijection_ok:
         endos_f = equivariant_homs(F, F, guard=guard)
+        restricted = {}  # w.map -> R_h(w), filled in the order the loop reaches w
         for w in endos_f:
-            rw = restrict_invariant_map(inv, w)
+            rw = restricted[w.map] = restrict_invariant_map(inv, w)
             for t in lhs:
                 lhs_side = corestrict(Hom(G.X, F.X, tuple(w.map[t.map[y]] for y in G.X.elements)))
                 rhs_side = tuple(rw.map[i] for i in corestrict(t))
@@ -449,13 +452,11 @@ def verify_adjunction_srng(h: Hom, G: SemiringAction, F: SemiringAction, *,
                     break
 
     functoriality_ok = True
-    if bijection_ok and naturality_ok:
-        endos_f = equivariant_homs(F, F, guard=guard)
+    if bijection_ok and naturality_ok:  # so every endo of F is in restricted
         for w1 in endos_f:
             for w2 in endos_f:
                 both = restrict_invariant_map(inv, compose(w1, w2))
-                stepwise = compose(restrict_invariant_map(inv, w1),
-                                   restrict_invariant_map(inv, w2))
+                stepwise = compose(restricted[w1.map], restricted[w2.map])
                 if both.map != stepwise.map:
                     functoriality_ok = False
                     failure = f"restriction fails functoriality at ({w1.map}, {w2.map})"

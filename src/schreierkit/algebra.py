@@ -473,9 +473,9 @@ def hom_candidate_count(a: TabularAlgebra, b: TabularAlgebra) -> int:
     return b.size ** len(generating_set(a))
 
 
-def enumerate_homs(a: TabularAlgebra, b: TabularAlgebra, *,
-                   guard: int = DEFAULT_HOM_GUARD) -> tuple[Hom, ...]:
-    """All homomorphisms a -> b, lexicographic on the map arrays.
+def hom_maps(a: TabularAlgebra, b: TabularAlgebra, *,
+             guard: int = DEFAULT_HOM_GUARD) -> tuple[tuple[int, ...], ...]:
+    """The map arrays of all homomorphisms a -> b, lexicographic.
 
     Backtracks over generator images, so the guarded quantity is
     |b| ** |generating set of a|; when the bound exceeds the guard the call
@@ -485,7 +485,13 @@ def enumerate_homs(a: TabularAlgebra, b: TabularAlgebra, *,
     required = hom_candidate_count(a, b)
     if required > guard:
         raise GuardExceeded("enumerate_homs", required, guard)
-    return tuple(Hom(a, b, m) for m in _homs_core(a, b))
+    return _homs_core(a, b)
+
+
+def enumerate_homs(a: TabularAlgebra, b: TabularAlgebra, *,
+                   guard: int = DEFAULT_HOM_GUARD) -> tuple[Hom, ...]:
+    """All homomorphisms a -> b as Hom objects, in hom_maps order."""
+    return tuple(Hom(a, b, m) for m in hom_maps(a, b, guard=guard))
 
 
 def find_isomorphism(a: TabularAlgebra, b: TabularAlgebra, *,

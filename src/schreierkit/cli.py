@@ -178,8 +178,7 @@ def _cmd_radjoint(ns, argv) -> tuple[int, Document]:
         rep.add("counit", True, "evaluation at 0 is an equivariant homomorphism")
         artifact = c.action
         if ns.section is not None:
-            sc = cofree_mon_surjective(h, F, _parse_section(ns.section),
-                                       guard=ns.guard_functions)
+            sc = cofree_mon_surjective(c, _parse_section(ns.section))
             rep.add("section-comparison", sc.is_isomorphism,
                     f"|submonoid|={len(sc.members)}, |L(B, M)|={len(sc.cofree.elements)}"
                     if sc.is_isomorphism else sc.failure)

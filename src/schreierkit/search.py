@@ -250,8 +250,9 @@ def search_counterexamples(goal: str, bounds: SearchBounds = SearchBounds()
                            ) -> SearchResult:
     """Sweep the bounded universe for the goal; see the module docstring.
 
-    `completed` is False when the timeout fired or the witness cap was hit,
-    in which case the witness list covers only the explored prefix.
+    `completed` is False when the timeout fired or a distinct witness turned
+    up with the witness cap already full, in which case the witness list
+    covers only the explored prefix.
     """
     if goal not in GOALS:
         raise StructuralError(f"unknown goal {goal!r}, expected one of {GOALS}")
@@ -263,10 +264,11 @@ def search_counterexamples(goal: str, bounds: SearchBounds = SearchBounds()
     truncated = False
     try:
         for doc in _GOAL_RUNNERS[goal](goal, algebras, clock, tally):
-            found.setdefault(dumps_canonical(doc), doc)
-            if len(found) >= bounds.max_witnesses:
-                truncated = True
+            key = dumps_canonical(doc)
+            if key not in found and len(found) >= bounds.max_witnesses:
+                truncated = True  # a new witness with the cap already full
                 break
+            found.setdefault(key, doc)
     except _TimeUp:
         timed_out = True
     witnesses = tuple(_reverify(doc) for _, doc in sorted(found.items()))

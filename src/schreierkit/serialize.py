@@ -81,6 +81,9 @@ def algebra_from_dict(doc: Document, base_dir: Path | None = None) -> TabularAlg
     laws = doc.get("laws", {})
     if not isinstance(ops, dict) or not isinstance(laws, dict):
         raise StructuralError("algebra: 'ops' and 'laws' must be objects")
+    for op, ls in laws.items():
+        if not isinstance(ls, list) or not all(isinstance(law, str) for law in ls):
+            raise StructuralError(f"algebra: laws of {op!r} must be a list of law names")
     return TabularAlgebra(
         kind=kind, size=size, add=_rows(_field(doc, "add", "algebra"), "add"),
         extra_ops=tuple((name, _rows(table, name)) for name, table in ops.items()),

@@ -268,10 +268,11 @@ def suite_adjunction_mon(cat: Catalog | None = None, *, base_max: int = 3,
                 if not h.is_surjective():
                     continue
                 for F in actions_on(E):
+                    c = cofree_mon(h, F, guard=func_guard)
                     members_seen = None
                     for sect in pointed_sections(h):
                         instances += 1
-                        sc = cofree_mon_surjective(h, F, sect, guard=func_guard)
+                        sc = cofree_mon_surjective(c, sect)
                         if not sc.is_isomorphism:
                             iso_bad += 1
                             first_failure = first_failure or (sc.failure or "not iso")

@@ -10,14 +10,16 @@ import itertools
 
 import pytest
 
-from schreierkit import (Hom, InvalidAction, MonoidAction, SemiringAction,
-                         build_catalog, check_schreier,
-                         enumerate_fibre_morphisms, enumerate_monoid_actions,
-                         enumerate_semiring_actions, equivariant_homs,
-                         identity_hom, point_to_action, require_valid_action,
+from schreierkit import (Hom, InvalidAction, Kind, MonoidAction,
+                         SemiringAction, build_catalog, check_schreier,
+                         cofree_mon, enumerate_fibre_morphisms, enumerate_homs,
+                         enumerate_monoid_actions, enumerate_semiring_actions,
+                         equivariant_homs, identity_hom, make_algebra,
+                         point_to_action, require_valid_action,
                          restrict_action, roundtrip_point_iso, semidirect,
                          semidirect_point, semidirect_srng, validate_action)
 from schreierkit.actions import additive_reduct, endomorphism_monoid
+from schreierkit.algebra import same_signature
 
 CAT = build_catalog()
 B2 = CAT.monoids["b2"]
@@ -243,6 +245,66 @@ def test_equivariant_homs_match_fibre_morphisms():
             fm = enumerate_fibre_morphisms(semidirect_point(a1),
                                            semidirect_point(a2))
             assert len(eq) == len(fm)
+
+
+def _equivariant_oracle(a1, a2):
+    """Brute force: every hom X1 -> X2, kept when it commutes with each
+    action entry."""
+    out = []
+    for h in enumerate_homs(a1.X, a2.X):
+        if isinstance(a1, MonoidAction):
+            ok = all(h.map[a1.act[b][x]] == a2.act[b][h.map[x]]
+                     for b in a1.B.elements for x in a1.X.elements)
+        else:
+            ok = (all(h.map[a1.left[b][x]] == a2.left[b][h.map[x]]
+                      for b in a1.B.elements for x in a1.X.elements)
+                  and all(h.map[a1.right[x][b]] == a2.right[h.map[x]][b]
+                          for x in a1.X.elements for b in a1.B.elements))
+        if ok:
+            out.append(h)
+    return tuple(out)
+
+
+def _assert_matches_oracle(pairs):
+    kept = dropped = 0
+    for a1, a2 in pairs:
+        got, want = equivariant_homs(a1, a2), _equivariant_oracle(a1, a2)
+        assert got == want, (a1, a2)
+        kept += len(want)
+        dropped += len(enumerate_homs(a1.X, a2.X)) - len(want)
+    assert kept and dropped  # the filter both keeps and rejects maps
+
+
+def test_equivariant_homs_match_brute_force_on_the_catalog():
+    for actions in (CAT.monoid_actions.values(), CAT.semiring_actions.values()):
+        _assert_matches_oracle([(a1, a2) for a1 in actions for a2 in actions
+                                if a1.B == a2.B and same_signature(a1.X, a2.X)])
+
+
+def test_equivariant_homs_match_brute_force_on_sweep_actions():
+    """Restricted and cofree actions, as the adjunction sweeps build them."""
+    pairs = []
+    for E, B in ((B2, B2), (N3, B2), (Z2, Z2), (CAT.monoids["b2xz2"], B2)):
+        for h in enumerate_homs(E, B):
+            for X in (Z2, B2):
+                for F in enumerate_monoid_actions(E, X):
+                    cofree = cofree_mon(h, F).action
+                    for G in enumerate_monoid_actions(B, X):
+                        pairs += [(restrict_action(h, G), F), (G, cofree)]
+    _assert_matches_oracle(pairs)
+    # Zero multiplication on X lets the left and right actions vary apart,
+    # so these pairs also need the right-hand check.
+    nulls = [make_algebra(Kind.SEMIRING, M.add, {"mul": [[0] * M.size] * M.size})
+             for M in (Z2, B2, N3)]
+    pairs = []
+    for E, B in ((BOOL, BOOL), (CAT.semirings["bool_x_bool"], BOOL), (Z2R, Z2R)):
+        for X in (BOOL, Z2R, *nulls):
+            on_e = enumerate_semiring_actions(E, X)
+            on_b = enumerate_semiring_actions(B, X)
+            pairs += [(G1, G2) for G1 in on_b for G2 in on_b]
+            pairs += [(restrict_action(h, G), F) for h in enumerate_homs(E, B)
+                      for G in on_b for F in on_e]
+    _assert_matches_oracle(pairs)
 
 
 def test_restrict_action_along_hom():

@@ -117,9 +117,10 @@ def test_pointed_sections_give_isomorphic_submonoid():
                 continue
             for X in carriers:
                 for F in enumerate_monoid_actions(E, X):
+                    c = cofree_mon(h, F)  # shared by every section, as in the sweep
                     members_seen = set()
                     for sect in pointed_sections(h):
-                        sc = cofree_mon_surjective(h, F, sect)
+                        sc = cofree_mon_surjective(c, sect)
                         assert sc.is_isomorphism, (h.map, sect, sc.failure)
                         members_seen.add(sc.members)
                     assert len(members_seen) == 1  # section-independent
@@ -132,9 +133,10 @@ def test_non_pointed_section_breaks_the_comparison():
     h = Hom(B2, ZERO, (0, 0))
     act = ((0, 1), (0, 0))  # 0 acts as identity, 1 as the zero endo
     F = MonoidAction(B2, Z2, act)
-    good = cofree_mon_surjective(h, F, (0,))
+    c = cofree_mon(h, F)
+    good = cofree_mon_surjective(c, (0,))
     assert good.is_isomorphism and good.members == (0,)
-    bad = cofree_mon_surjective(h, F, (1,))
+    bad = cofree_mon_surjective(c, (1,))
     assert tuple(bad.members) == (0, 1)
     assert not bad.is_isomorphism
     assert bad.failure == "comparison map is not injective"
@@ -146,9 +148,10 @@ def test_surjective_cofree_rejects_non_sections():
     h = Hom(B2, B2, (0, 1))
     F = CAT.monoid_actions["zeroendo_b2_z2"]
     with pytest.raises(StructuralError):
-        cofree_mon_surjective(h, F, (0, 0))  # not a right inverse
+        cofree_mon_surjective(cofree_mon(h, F), (0, 0))  # not a right inverse
+    c = cofree_mon(Hom(B2, B2, (0, 0)), F)
     with pytest.raises(StructuralError):
-        cofree_mon_surjective(Hom(B2, B2, (0, 0)), F, (0, 0))  # h not surjective
+        cofree_mon_surjective(c, (0, 0))  # h not surjective
 
 
 # ---------------------------------------------------------------------------

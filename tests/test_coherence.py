@@ -377,6 +377,16 @@ def test_search_witness_cap_truncates():
     assert len(res.witnesses) == 1
 
 
+def test_search_witness_cap_equal_to_the_count_completes():
+    full = search_counterexamples("NonSchreier", SearchBounds(variety="mon"))
+    res = search_counterexamples("NonSchreier",
+                                 SearchBounds(variety="mon",
+                                              max_witnesses=len(full.witnesses)))
+    assert res.completed and not res.timed_out
+    assert res.examined == full.examined == 35
+    assert res.witnesses == full.witnesses
+
+
 def test_search_seed_reorders_but_witnesses_are_canonical():
     base = search_counterexamples("NonSchreier", SearchBounds(variety="mon"))
     for seed in (1, 7, 1234):

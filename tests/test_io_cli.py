@@ -239,6 +239,16 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("StructuralError:")
 
+    # wrongly typed entries are structural errors, not tracebacks
+    laws = {"kind": "jt", "size": 1, "add": [[0]], "laws": {"add": 5}}
+    act = to_dict(CAT.monoid_actions["zeroendo_b2_z2"])
+    act["act"] = [["a"] * len(row) for row in act["act"]]
+    for name, doc in (("laws.json", laws), ("act.json", act)):
+        path = tmp_path / name
+        path.write_text(dumps_canonical(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("StructuralError:")
+
 
 def test_cli_usage_errors_exit_two():
     for argv in ([], ["frobnicate"], ["search"], ["search", "--goal", "Bogus"],
