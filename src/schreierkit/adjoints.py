@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 from .actions import (MonoidAction, SemiringAction, equivariant_homs,
                       restrict_action, validate_action)
-from .algebra import (Hom, TabularAlgebra, check_hom, compose,
-                      restrict_to_subalgebra)
+from .algebra import (DEFAULT_HOM_GUARD, Hom, TabularAlgebra, check_hom,
+                      compose, first_escape, restrict_to_subalgebra)
 from .errors import ComputationError, GuardExceeded, StructuralError
 
 DEFAULT_FUNC_GUARD = 1_000_000
-DEFAULT_HOMSET_GUARD = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def counit_mon(c: CofreeTable) -> Hom:
 
 def mediate_mon(c: CofreeTable, G: MonoidAction, beta: Hom, *,
                 check_unique: bool = True,
-                guard: int = DEFAULT_HOMSET_GUARD) -> Hom:
+                guard: int = DEFAULT_HOM_GUARD) -> Hom:
     """The mediating map gamma: S -> L(B, M) for an equivariant beta: h*(G) -> M.
 
     gamma(x)(b) = beta(b . x).  Rejects a beta that is not a homomorphism or
@@ -223,13 +222,12 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
     members = tuple(m for m in M.elements
                     if all(act[E.add[e][sect[b]]][m] == act[sect[B.add[h.map[e]][b]]][m]
                            for e in E.elements for b in B.elements))
-    mset = set(members)
-    if 0 not in mset:
+    if 0 not in members:
         raise ComputationError("0 escapes the simplified submonoid")
-    for m1 in members:  # closure is a theorem: the membership condition is additive
-        for m2 in members:
-            if M.add[m1][m2] not in mset:
-                raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
+    escape = first_escape(M, members)  # a theorem: the membership condition is additive
+    if escape is not None:
+        _, m1, m2 = escape
+        raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
     monoid, embed = restrict_to_subalgebra(M, members)
     pos = {u: i for i, u in enumerate(c.elements)}
     compare = []
@@ -260,21 +258,23 @@ def _compare_verdict(monoid: TabularAlgebra, cofree: CofreeTable,
     return True, None
 
 
-def pointed_sections(h: Hom) -> tuple[tuple[int, ...], ...]:
-    """All basepoint-preserving set-sections of a surjective h, lex ordered."""
+def _sections(h: Hom):
+    # Lazily, so that pointed_sections does not hold the sections it drops.
     if not h.is_surjective():
         raise StructuralError("sections exist only for surjective maps")
     fibres = [[e for e in h.source.elements if h.map[e] == b] for b in h.target.elements]
-    fibres[0] = [0]
-    return tuple(itertools.product(*fibres))
+    return itertools.product(*fibres)
 
 
 def all_sections(h: Hom) -> tuple[tuple[int, ...], ...]:
-    """Every set-section of a surjective h, basepoint-preserving or not."""
-    if not h.is_surjective():
-        raise StructuralError("sections exist only for surjective maps")
-    fibres = [[e for e in h.source.elements if h.map[e] == b] for b in h.target.elements]
-    return tuple(itertools.product(*fibres))
+    """Every set-section of a surjective h, basepoint-preserving or not, lex
+    ordered: one fibre per element of the target, the first varying slowest."""
+    return tuple(_sections(h))
+
+
+def pointed_sections(h: Hom) -> tuple[tuple[int, ...], ...]:
+    """The basepoint-preserving sections among all_sections(h), in its order."""
+    return tuple(s for s in _sections(h) if s[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +311,10 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     members = tuple(x for x in X.elements
                     if all(left[e][x] == left[fib[0]][x] and right[x][e] == right[x][fib[0]]
                            for fib in fibres for e in fib[1:]))
-    mset = set(members)
-    for name, t in X.all_tables():  # closure under + and . is a theorem
-        for x in members:
-            for y in members:
-                if t[x][y] not in mset:
-                    raise ComputationError(f"R_h(X) not closed under {name} at ({x}, {y})")
+    escape = first_escape(X, members)  # closure under + and . is a theorem
+    if escape is not None:
+        name, x, y = escape
+        raise ComputationError(f"R_h(X) not closed under {name} at ({x}, {y})")
     algebra, embed = restrict_to_subalgebra(X, members)
     pos = {v: i for i, v in enumerate(embed)}
     pre = tuple(fib[0] for fib in fibres)
@@ -382,7 +380,7 @@ class AdjunctionReport:
 
 
 def verify_adjunction_srng(h: Hom, G: SemiringAction, F: SemiringAction, *,
-                           guard: int = DEFAULT_HOMSET_GUARD) -> AdjunctionReport:
+                           guard: int = DEFAULT_HOM_GUARD) -> AdjunctionReport:
     """Exhibit the bijection Hom_E(h*(G), F) = Hom_B(G, R_h(F)).
 
     Every equivariant map on the left lands inside R_h(X) and corestricts to

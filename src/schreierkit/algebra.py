@@ -349,35 +349,58 @@ def is_hom(h: Hom) -> bool:
 # generation and enumeration
 
 
-def _close(a: TabularAlgebra, seed) -> frozenset:
-    members = set(seed)
-    members.add(0)
+def derivation(a: TabularAlgebra, seeds) -> dict[int, tuple]:
+    """Map each element generated by 0 and the (element, label) seeds to how it
+    first arose: ("zero",), its first seed's label, or (op_name, y, z).  Per
+    round: ops in all_tables() order, x over the last round's new elements, y
+    over those known when the round began, x op y then y op x."""
+    how: dict[int, tuple] = {0: ("zero",)}
+    for elem, label in seeds:
+        how.setdefault(elem, label)
+    frontier = list(how)
     tables = a.all_tables()
-    frontier = list(members)
     while frontier:
         fresh = []
-        snapshot = tuple(members)  # same-round pairs resolve next round
-        for _, t in tables:
+        members = list(how)
+        for name, t in tables:
             for x in frontier:
-                for y in snapshot:
-                    for z in (t[x][y], t[y][x]):
-                        if z not in members:
-                            members.add(z)
-                            fresh.append(z)
+                row = t[x]
+                for y in members:
+                    z = row[y]
+                    if z not in how:
+                        how[z] = (name, x, y)
+                        fresh.append(z)
+                    z = t[y][x]
+                    if z not in how:
+                        how[z] = (name, y, x)
+                        fresh.append(z)
         frontier = fresh
-    return frozenset(members)
+    return how
 
 
 @lru_cache(maxsize=None)
 def generating_set(a: TabularAlgebra) -> tuple[int, ...]:
     """Greedy generating set: repeatedly adjoin the least element not yet generated."""
     gens: list[int] = []
-    closed = _close(a, ())
+    closed = derivation(a, ())
     for x in a.elements:
         if x not in closed:
             gens.append(x)
-            closed = _close(a, closed | {x})
+            closed = derivation(a, ((g, ("gen", g)) for g in gens))
     return tuple(gens)
+
+
+def first_escape(a: TabularAlgebra, members) -> tuple[str, int, int] | None:
+    """The first (op_name, x, y) with x op y outside members, or None if closed;
+    ops in all_tables() order, x and y in the order of the members sequence."""
+    inside = set(members)
+    for name, t in a.all_tables():
+        for x in members:
+            row = t[x]
+            for y in members:
+                if row[y] not in inside:
+                    return name, x, y
+    return None
 
 
 @dataclass(frozen=True)
@@ -397,7 +420,7 @@ class Subset:
         object.__setattr__(self, "members", ms)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -415,7 +438,7 @@ def subset(a: TabularAlgebra, members) -> Subset:
 
 def generated_subalgebra(a: TabularAlgebra, gens) -> Subset:
     """Least subset containing gens and 0, closed under add and all extra ops."""
-    return subset(a, _close(a, tuple(gens)))
+    return subset(a, derivation(a, ((g, ("gen", g)) for g in gens)))
 
 
 def _extend_from_generators(a: TabularAlgebra, b: TabularAlgebra,
@@ -513,6 +536,14 @@ def algebras_isomorphic(a: TabularAlgebra, b: TabularAlgebra) -> bool:
 # finite limits
 
 
+def _derived(a: TabularAlgebra, size: int, table_for_op) -> TabularAlgebra:
+    """a's kind, ops and jt laws on `size` elements; each op's table is
+    table_for_op(name, a's table of that op)."""
+    extra = tuple((name, table_for_op(name, t)) for name, t in a.extra_ops)
+    return TabularAlgebra(kind=a.kind, size=size, add=table_for_op("add", a.add), extra_ops=extra,
+                          declared_laws=a.declared_laws if a.kind is Kind.JT_GENERIC else ())
+
+
 def pair_index(x: int, y: int, second_size: int) -> int:
     return x * second_size + y
 
@@ -540,9 +571,7 @@ def product(a: TabularAlgebra, b: TabularAlgebra) -> Product:
                 rows.append(tuple(row))
         return tuple(rows)
 
-    extra = tuple((name, build(a.op_table(name), b.op_table(name))) for name in a.op_names)
-    alg = TabularAlgebra(kind=a.kind, size=n, add=build(a.add, b.add), extra_ops=extra,
-                         declared_laws=a.declared_laws if a.kind is Kind.JT_GENERIC else ())
+    alg = _derived(a, n, lambda name, ta: build(ta, b.op_table(name)))
     proj1 = Hom(alg, a, tuple(x for x in a.elements for _ in b.elements))
     proj2 = Hom(alg, b, tuple(y for _ in a.elements for y in b.elements))
     inj1 = Hom(a, alg, tuple(pair_index(x, 0, b.size) for x in a.elements))
@@ -585,9 +614,7 @@ def pullback(f: Hom, g: Hom) -> Pullback:
             rows.append(tuple(row))
         return tuple(rows)
 
-    extra = tuple((name, build(a.op_table(name), c.op_table(name))) for name in a.op_names)
-    alg = TabularAlgebra(kind=a.kind, size=len(pairs), add=build(a.add, c.add), extra_ops=extra,
-                         declared_laws=a.declared_laws if a.kind is Kind.JT_GENERIC else ())
+    alg = _derived(a, len(pairs), lambda name, ta: build(ta, c.op_table(name)))
     proj1 = Hom(alg, a, tuple(x for (x, _) in pairs))
     proj2 = Hom(alg, c, tuple(y for (_, y) in pairs))
     return Pullback(alg, pairs, proj1, proj2)
@@ -618,21 +645,11 @@ def restrict_to_subalgebra(a: TabularAlgebra, members) -> tuple[TabularAlgebra, 
     embed = tuple(sorted(set(members)))
     if not embed or embed[0] != 0:
         raise StructuralError("subalgebra must contain 0")
+    escape = first_escape(a, embed)
+    if escape is not None:
+        name, x, y = escape
+        raise StructuralError(f"subset not closed: {x} op {y} = {a.op_table(name)[x][y]} escapes")
     pos = {v: i for i, v in enumerate(embed)}
-
-    def build(t: Table) -> Table:
-        rows = []
-        for x in embed:
-            row = []
-            for y in embed:
-                z = t[x][y]
-                if z not in pos:
-                    raise StructuralError(f"subset not closed: {x} op {y} = {z} escapes")
-                row.append(pos[z])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    extra = tuple((name, build(a.op_table(name))) for name in a.op_names)
-    alg = TabularAlgebra(kind=a.kind, size=len(embed), add=build(a.add), extra_ops=extra,
-                         declared_laws=a.declared_laws if a.kind is Kind.JT_GENERIC else ())
+    alg = _derived(a, len(embed), lambda _, t: tuple(
+        tuple(pos[t[x][y]] for y in embed) for x in embed))
     return alg, embed

@@ -203,8 +203,11 @@ def load_catalog_dir(path) -> Catalog:
     files = sorted(root.glob("*.json"))
     if not files:
         raise StructuralError(f"catalog directory {root} holds no .json files")
+    named: dict[str, Path] = {}
     for file in files:
         name = file.name.split(".")[0]
+        if named.setdefault(name, file) != file:
+            raise StructuralError(f"{named[name]} and {file} both name the entry {name!r}")
         obj = load(file)
         if isinstance(obj, TabularAlgebra):
             if not validate_algebra(obj).ok:

@@ -269,6 +269,8 @@ def _cmd_report(ns, argv) -> tuple[int, Document]:
         _replay_witness_into(rep, doc, "witness-replay")
     elif kind == "search_result":
         witnesses = doc.get("witnesses", [])
+        if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
+            raise StructuralError("search result: 'witnesses' must be a list of objects")
         if not witnesses:
             rep.add("witness-replay", True, "no witnesses to replay")
         for i, w in enumerate(witnesses):

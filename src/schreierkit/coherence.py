@@ -6,7 +6,8 @@ notion agrees with the underlying one because the section image s(B) = f(s'(B))
 already sits inside the image of f.  A CoherenceInstance packages two fibre
 morphisms of Schreier points into a common middle point; the checks below pull
 such an instance back along a base change (or apply the kernel functor) and
-ask whether joint strong epimorphy survives.
+ask whether joint strong epimorphy survives.  Each check generates with the
+one closure routine, algebra.derivation, whose record is the JseCheck trace.
 
 For semirings the positive answer rests on an explicit decomposition of
 kernel elements of the middle point into sums of products of kernel images:
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
-                      identity_hom, subset)
-from .errors import ComputationError, NotSchreier, StructuralError
+                      derivation, identity_hom, subset)
+from .errors import ComputationError, StructuralError
 from .points import (Point, PointMorphism, check_schreier, enumerate_split_epis,
                      kernel_algebra, pullback_point, schreier_retraction)
 
@@ -41,22 +42,7 @@ class JseCheck:
 
 
 def _generate_with_trace(d: TabularAlgebra, seeds) -> JseCheck:
-    how: dict[int, tuple] = {0: ("zero",)}
-    for elem, label in seeds:
-        how.setdefault(elem, label)
-    frontier = list(how)
-    tables = d.all_tables()
-    while frontier:
-        fresh = []
-        members = list(how)
-        for name, t in tables:
-            for x in frontier:
-                for y in members:
-                    for z, lab in ((t[x][y], (name, x, y)), (t[y][x], (name, y, x))):
-                        if z not in how:
-                            how[z] = lab
-                            fresh.append(z)
-        frontier = fresh
+    how = derivation(d, seeds)
     gen = subset(d, how)
     trace = tuple((e, how[e]) for e in gen)
     return JseCheck(gen.is_all(), gen, trace)
@@ -88,9 +74,7 @@ class CoherenceInstance:
         if self.f.target != self.g.target:
             raise StructuralError("f and g must share the middle point")
         for p in (self.f.source, self.f.target, self.g.source):
-            w = check_schreier(p)
-            if not w.is_schreier:
-                raise NotSchreier(w)
+            schreier_retraction(p)
 
     @property
     def left(self) -> Point:

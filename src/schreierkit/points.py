@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Subset, TabularAlgebra, compose,
-                      check_hom, enumerate_homs, generated_subalgebra,
-                      identity_hom, pullback, restrict_to_subalgebra, subset)
-from .errors import StructuralError
+                      check_hom, enumerate_homs, first_escape,
+                      generated_subalgebra, identity_hom, product, pullback,
+                      restrict_to_subalgebra, subset)
+from .errors import NotSchreier, StructuralError
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,10 @@ class Point:
         if compose(self.f, self.s).map != identity_hom(self.B).map:
             raise StructuralError("s is not a section of f")
         ker = subset(self.A, (a for a in self.A.elements if self.f.map[a] == 0))
-        members = set(ker.members)
-        for name, t in self.A.all_tables():
-            for x in ker:
-                for y in ker:
-                    if t[x][y] not in members:
-                        raise StructuralError(f"kernel not closed under {name} at ({x}, {y})")
+        escape = first_escape(self.A, ker.members)
+        if escape is not None:
+            name, x, y = escape
+            raise StructuralError(f"kernel not closed under {name} at ({x}, {y})")
         object.__setattr__(self, "kernel", ker)
 
     def section_image(self, a: int) -> int:
@@ -63,7 +62,6 @@ def identity_point(b: TabularAlgebra) -> Point:
 
 def product_point(b: TabularAlgebra, x: TabularAlgebra) -> Point:
     """The trivial point B x X -> B with section b |-> (b, 0)."""
-    from .algebra import product
     pr = product(b, x)
     return Point(pr.algebra, b, pr.proj1, pr.inj1)
 
@@ -123,7 +121,6 @@ def check_schreier(p: Point) -> SchreierWitness:
 
 
 def schreier_retraction(p: Point) -> tuple[int, ...]:
-    from .errors import NotSchreier
     w = check_schreier(p)
     if not w.is_schreier:
         raise NotSchreier(w)
@@ -263,13 +260,10 @@ def check_ssfl(m: PointMorphism) -> bool:
     Returns whether the implication holds for this morphism.  Rejects
     non-fibre morphisms and non-Schreier endpoints.
     """
-    from .errors import NotSchreier
     if not m.is_fibre:
         raise StructuralError("check_ssfl needs a fibre morphism (h = identity)")
     for p in (m.source, m.target):
-        w = check_schreier(p)
-        if not w.is_schreier:
-            raise NotSchreier(w)
+        schreier_retraction(p)
     return ssfl_implication(m)
 
 

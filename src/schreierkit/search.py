@@ -8,7 +8,8 @@ five lemma read off the Schreier class, where it can fail).
 Universes: varieties "mon" and "srng" sweep the built-in catalog up to
 max_size; variety "jt" enumerates generic tables, first with add alone, then
 add plus one zero-absorbing binary op (absorption keeps kernels closed, and
-is the only law imposed, so non-associative ops are searched too).
+is the only law imposed, so non-associative ops are searched too).  Every
+goal sweeps the split-epi points between universe algebras (_split_epis).
 
 Every witness is serialized, re-loaded, and re-checked before it is
 reported; a mismatch means a harness bug and raises.  Witnesses come out
@@ -30,7 +31,7 @@ from .coherence import CoherenceInstance, check_kernel_coherence, jointly_strong
 from .errors import ComputationError, StructuralError
 from .points import (check_schreier, enumerate_fibre_morphisms,
                      enumerate_split_epis, kernel_restriction_bijective)
-from .serialize import (SCHEMA_VERSION, Document, dumps_canonical,
+from .serialize import (SCHEMA_VERSION, Document, _field, dumps_canonical,
                         point_from_dict, point_morphism_from_dict,
                         point_morphism_to_dict, point_to_dict)
 
@@ -84,22 +85,16 @@ class _Clock:
         return time.monotonic() - self.start
 
 
-def _jt_add_tables(n: int):
+def _jt_tables(n: int, unit: bool):
+    """Every n x n table whose row and column 0 hold x (0 + x = x + 0 = x)
+    when unit, else 0 (zero-absorbing); the other cells run lexicographically."""
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     for fill in itertools.product(range(n), repeat=len(cells)):
         rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            rows[0][j] = j
-            rows[j][0] = j
-        for (i, j), v in zip(cells, fill):
-            rows[i][j] = v
-        yield rows
-
-
-def _jt_mul_tables(n: int):
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    for fill in itertools.product(range(n), repeat=len(cells)):
-        rows = [[0] * n for _ in range(n)]
+        if unit:
+            for j in range(n):
+                rows[0][j] = j
+                rows[j][0] = j
         for (i, j), v in zip(cells, fill):
             rows[i][j] = v
         yield rows
@@ -108,11 +103,11 @@ def _jt_mul_tables(n: int):
 def _jt_universe(max_size: int) -> list[TabularAlgebra]:
     out = []
     for n in range(1, max_size + 1):
-        for add in _jt_add_tables(n):
+        for add in _jt_tables(n, unit=True):
             out.append(make_algebra(Kind.JT_GENERIC, add))
     for n in range(1, min(max_size, JT_MUL_SIZE_CAP) + 1):
-        for add in _jt_add_tables(n):
-            for mul in _jt_mul_tables(n):
+        for add in _jt_tables(n, unit=True):
+            for mul in _jt_tables(n, unit=False):
                 out.append(make_algebra(Kind.JT_GENERIC, add,
                                         {"mul": mul}, {"mul": ["absorb"]}))
     return out
@@ -151,14 +146,14 @@ def replay_witness(doc: Document) -> str:
     if not isinstance(payload, dict):
         raise StructuralError("witness: missing payload object")
     if checker == "schreier":
-        p = point_from_dict(payload["point"])
+        p = point_from_dict(_field(payload, "point", "witness payload"))
         return check_schreier(p).describe()
     if checker == "kernel_coherence":
-        f = point_morphism_from_dict(payload["f"])
-        g = point_morphism_from_dict(payload["g"])
+        f = point_morphism_from_dict(_field(payload, "f", "witness payload"))
+        g = point_morphism_from_dict(_field(payload, "g", "witness payload"))
         return _kernel_coherence_verdict(CoherenceInstance(f, g))
     if checker == "ssfl":
-        m = point_morphism_from_dict(payload["morphism"])
+        m = point_morphism_from_dict(_field(payload, "morphism", "witness payload"))
         return _ssfl_verdict(kernel_restriction_bijective(m), m.g.is_bijective())
     raise StructuralError(f"witness: unknown checker {checker!r}")
 
@@ -174,31 +169,30 @@ def _reverify(doc: Document) -> Document:
     return doc
 
 
-def _points_over(algebras, clock: _Clock):
-    """All split-epi points between universe algebras, grouped by base."""
-    by_base: dict[TabularAlgebra, list] = {}
+def _split_epis(algebras, clock: _Clock):
+    """Every split-epi point between universe algebras; one tick per (A, B)."""
     for A in algebras:
         for B in algebras:
             if A.size < B.size or not same_signature(A, B):
                 continue
             clock.tick()
-            for p in enumerate_split_epis(A, B):
-                by_base.setdefault(B, []).append(p)
+            yield from enumerate_split_epis(A, B)
+
+
+def _points_over(algebras, clock: _Clock):
+    """All split-epi points between universe algebras, grouped by base."""
+    by_base: dict[TabularAlgebra, list] = {}
+    for p in _split_epis(algebras, clock):
+        by_base.setdefault(p.B, []).append(p)
     return by_base
 
 
 def _search_non_schreier(goal, algebras, clock, tally):
-    for A in algebras:
-        for B in algebras:
-            if A.size < B.size or not same_signature(A, B):
-                continue
-            clock.tick()
-            for p in enumerate_split_epis(A, B):
-                tally[0] += 1
-                w = check_schreier(p)
-                if not w.is_schreier:
-                    yield _witness(goal, "schreier", {"point": point_to_dict(p)},
-                                   w.describe())
+    for p in _split_epis(algebras, clock):
+        tally[0] += 1
+        w = check_schreier(p)
+        if not w.is_schreier:
+            yield _witness(goal, "schreier", {"point": point_to_dict(p)}, w.describe())
 
 
 def _search_kernel_coherence(goal, algebras, clock, tally):

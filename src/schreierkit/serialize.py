@@ -29,6 +29,8 @@ def dumps_canonical(doc: Document) -> str:
 
 
 def _check_schema(doc: Document, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{what}: expected an object, got {type(doc).__name__}")
     version = doc.get("schema", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise StructuralError(
@@ -91,12 +93,13 @@ def algebra_from_dict(doc: Document, base_dir: Path | None = None) -> TabularAlg
 
 
 def _algebra_ref(value, base_dir: Path | None, what: str) -> TabularAlgebra:
-    # Inline object or a path string relative to the referencing file.
+    # Inline object or a path string relative to the referencing file, read
+    # as an algebra document: that references nothing, so references cannot loop.
     if isinstance(value, dict):
         return algebra_from_dict(value, base_dir)
     if isinstance(value, str):
-        base = base_dir or Path.cwd()
-        return load_algebra(base / value)
+        path = (base_dir or Path.cwd()) / value
+        return algebra_from_dict(_read_json(path), path.parent)
     raise StructuralError(f"{what}: expected an inline algebra or a path string")
 
 
@@ -209,17 +212,20 @@ def save(obj: Serializable | Document, path: str | Path) -> Path:
     return path
 
 
-def load(path: str | Path) -> Serializable | Document:
-    path = Path(path)
+def _read_json(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}")
-    return from_dict(doc, base_dir=path.parent)
+
+
+def load(path: str | Path) -> Serializable | Document:
+    path = Path(path)
+    return from_dict(_read_json(path), base_dir=path.parent)
 
 
 def _load_typed(path: str | Path, want, what: str):

@@ -12,6 +12,7 @@ one broken identity cannot hide the remaining verdicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .actions import (enumerate_monoid_actions, enumerate_semiring_actions,
@@ -35,6 +36,16 @@ from .serialize import point_morphism_to_dict, point_to_dict
 
 VARIETIES = ("mon", "srng")
 
+# Largest catalog carriers the sweeps take; each report's config echoes its own.
+PROTOMODULARITY_MAX_SIZE = 6
+ADJUNCTION_BASE_MAX = 3  # |B| in the monoid triple sweep
+ADJUNCTION_SOURCE_MAX = 4  # |E|, and |B| in the semiring sweep
+ADJUNCTION_CARRIER_MAX = 4  # carriers of the actions F and G
+ADJUNCTION_SURJ_BASE_MAX = 4  # |B| in the monoid sweep over surjections
+COHERENCE_ALONG_MAX = 6  # sources of the changes of base
+COHERENCE_WORD_MAX = 3  # longest decomposed word
+RING_BASE_MAX_SIZE = 8
+
 
 def _sized(d: dict[str, TabularAlgebra], max_size: int):
     return [(n, a) for n, a in sorted(d.items()) if a.size <= max_size]
@@ -45,15 +56,23 @@ def _schreier_points(cat: Catalog, variety: str):
             if check_schreier(p).is_schreier]
 
 
-def suite_protomodularity(cat: Catalog | None = None, *, max_size: int = 6,
+def _action_pool(carriers, enumerate_actions, guard: int):
+    """actions_on(base): every action of base on the carriers, enumerated once."""
+    @functools.cache
+    def actions_on(base: TabularAlgebra) -> tuple:
+        return tuple(act for _, X in carriers for act in enumerate_actions(base, X, guard=guard))
+    return actions_on
+
+
+def suite_protomodularity(cat: Catalog | None = None, *,
                           hom_guard: int = DEFAULT_HOM_GUARD,
                           command=("verify", "protomodularity")) -> Report:
     """Schreier implies strong on every enumerated split epi, and the Schreier
     class is stable under pullback and binary fibre product."""
     cat = cat or build_catalog()
-    rep = Report(list(command), {"max_size": max_size, "guard_homs": hom_guard})
+    rep = Report(list(command), {"max_size": PROTOMODULARITY_MAX_SIZE, "guard_homs": hom_guard})
     for variety in VARIETIES:
-        algebras = _sized(cat.algebras(variety), max_size)
+        algebras = _sized(cat.algebras(variety), PROTOMODULARITY_MAX_SIZE)
         checked = schreier = 0
         bad = []
         for _, A in algebras:
@@ -175,9 +194,7 @@ def suite_roundtrip(cat: Catalog | None = None, *,
     return rep
 
 
-def suite_adjunction_mon(cat: Catalog | None = None, *, base_max: int = 3,
-                         source_max: int = 4, carrier_max: int = 4,
-                         surj_base_max: int = 4,
+def suite_adjunction_mon(cat: Catalog | None = None, *,
                          hom_guard: int = DEFAULT_HOM_GUARD,
                          func_guard: int = DEFAULT_FUNC_GUARD,
                          command=("verify", "adjunction", "--variety", "mon")
@@ -196,26 +213,18 @@ def suite_adjunction_mon(cat: Catalog | None = None, *, base_max: int = 3,
     """
     cat = cat or build_catalog()
     rep = Report(list(command),
-                 {"base_max": base_max, "source_max": source_max,
-                  "carrier_max": carrier_max, "surj_base_max": surj_base_max,
+                 {"base_max": ADJUNCTION_BASE_MAX, "source_max": ADJUNCTION_SOURCE_MAX,
+                  "carrier_max": ADJUNCTION_CARRIER_MAX, "surj_base_max": ADJUNCTION_SURJ_BASE_MAX,
                   "guard_homs": hom_guard, "guard_functions": func_guard})
     monoids = sorted(cat.monoids.items())
-    carriers = _sized(cat.monoids, carrier_max)
-    action_pool: dict[TabularAlgebra, tuple] = {}
-
-    def actions_on(base: TabularAlgebra):
-        if base not in action_pool:
-            acts = []
-            for _, X in carriers:
-                acts.extend(enumerate_monoid_actions(base, X, guard=hom_guard))
-            action_pool[base] = tuple(acts)
-        return action_pool[base]
+    actions_on = _action_pool(_sized(cat.monoids, ADJUNCTION_CARRIER_MAX),
+                              enumerate_monoid_actions, hom_guard)
 
     triples = 0
     card_bad = bij_bad = mediate_bad = 0
     first_failure = ""
-    for _, E in _sized(cat.monoids, source_max):
-        for _, B in _sized(cat.monoids, base_max):
+    for _, E in _sized(cat.monoids, ADJUNCTION_SOURCE_MAX):
+        for _, B in _sized(cat.monoids, ADJUNCTION_BASE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
                 for F in actions_on(E):
                     c = cofree_mon(h, F, guard=func_guard)
@@ -263,7 +272,7 @@ def suite_adjunction_mon(cat: Catalog | None = None, *, base_max: int = 3,
     iso_bad = indep_bad = 0
     first_failure = ""
     for _, E in monoids:
-        for _, B in _sized(cat.monoids, surj_base_max):
+        for _, B in _sized(cat.monoids, ADJUNCTION_SURJ_BASE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
                 if not h.is_surjective():
                     continue
@@ -290,8 +299,7 @@ def suite_adjunction_mon(cat: Catalog | None = None, *, base_max: int = 3,
     return rep
 
 
-def suite_adjunction_srng(cat: Catalog | None = None, *, source_max: int = 4,
-                          carrier_max: int = 4,
+def suite_adjunction_srng(cat: Catalog | None = None, *,
                           hom_guard: int = DEFAULT_HOM_GUARD,
                           command=("verify", "adjunction", "--variety", "srng")
                           ) -> Report:
@@ -300,31 +308,23 @@ def suite_adjunction_srng(cat: Catalog | None = None, *, source_max: int = 4,
     invariant subalgebra, naturality on sampled squares, functoriality."""
     cat = cat or build_catalog()
     rep = Report(list(command),
-                 {"source_max": source_max, "carrier_max": carrier_max,
-                  "guard_homs": hom_guard})
-    carriers = _sized(cat.semirings, carrier_max)
-    action_pool: dict[TabularAlgebra, tuple] = {}
-
-    def actions_on(base: TabularAlgebra):
-        if base not in action_pool:
-            acts = []
-            for _, X in carriers:
-                acts.extend(enumerate_semiring_actions(base, X, guard=hom_guard))
-            action_pool[base] = tuple(acts)
-        return action_pool[base]
+                 {"source_max": ADJUNCTION_SOURCE_MAX,
+                  "carrier_max": ADJUNCTION_CARRIER_MAX, "guard_homs": hom_guard})
+    actions_on = _action_pool(_sized(cat.semirings, ADJUNCTION_CARRIER_MAX),
+                              enumerate_semiring_actions, hom_guard)
 
     triples = 0
     bad = 0
     first_failure = ""
-    for _, E in _sized(cat.semirings, source_max):
-        for _, B in _sized(cat.semirings, source_max):
+    for _, E in _sized(cat.semirings, ADJUNCTION_SOURCE_MAX):
+        for _, B in _sized(cat.semirings, ADJUNCTION_SOURCE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
                 if not h.is_surjective():
                     continue
                 for F in actions_on(E):
                     for G in actions_on(B):
                         triples += 1
-                        adj = verify_adjunction_srng(h, G, F)
+                        adj = verify_adjunction_srng(h, G, F, guard=hom_guard)
                         if not adj.ok:
                             bad += 1
                             first_failure = first_failure or (adj.failure or "")
@@ -335,7 +335,6 @@ def suite_adjunction_srng(cat: Catalog | None = None, *, source_max: int = 4,
 
 
 def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
-                    along_max: int = 6, word_max: int = 3,
                     hom_guard: int = DEFAULT_HOM_GUARD,
                     command=("verify", "coherence")) -> Report:
     """Kernel coherence and coherence along every enumerated change of base,
@@ -343,8 +342,8 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
     decompositions with their vanishing certificates on all valid inputs."""
     cat = cat or build_catalog()
     rep = Report(list(command),
-                 {"variety": variety or "both", "along_max": along_max,
-                  "word_max": word_max, "guard_homs": hom_guard})
+                 {"variety": variety or "both", "along_max": COHERENCE_ALONG_MAX,
+                  "word_max": COHERENCE_WORD_MAX, "guard_homs": hom_guard})
     for var in VARIETIES if variety is None else (variety,):
         instances = coherence_instances(cat, var, guard=hom_guard)
         rep.add(f"catalog-instances[{var}]", len(instances) > 0,
@@ -363,7 +362,7 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
                 f"instances={len(instances)}",
                 None if not bad else {"failing": bad})
 
-        algebras = _sized(cat.algebras(var), along_max)
+        algebras = _sized(cat.algebras(var), COHERENCE_ALONG_MAX)
         pulled = 0
         bad = []
         for name, inst in instances:
@@ -402,7 +401,7 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
         for name, inst in instances:
             A, C = inst.f.source.A, inst.g.source.A
             alphabet = [("f", a) for a in A.elements] + [("g", c) for c in C.elements]
-            for n in range(1, word_max + 1):
+            for n in range(1, COHERENCE_WORD_MAX + 1):
                 for word in itertools.product(alphabet, repeat=n):
                     try:
                         decompose_kernel_word(inst, word)
@@ -418,18 +417,18 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
     return rep
 
 
-def suite_ring_base(cat: Catalog | None = None, *, max_size: int = 8,
+def suite_ring_base(cat: Catalog | None = None, *,
                     hom_guard: int = DEFAULT_HOM_GUARD,
                     command=("verify", "ring-base")) -> Report:
     """Every split epi from a catalog semiring onto the two-element ring is
     Schreier; the precondition rejects the boolean semiring, which does admit
     a non-Schreier split epi."""
     cat = cat or build_catalog()
-    rep = Report(list(command), {"max_size": max_size, "guard_homs": hom_guard})
+    rep = Report(list(command), {"max_size": RING_BASE_MAX_SIZE, "guard_homs": hom_guard})
     sources = sorted(cat.semirings.items())
     ring = cat.semirings["z2_ring"]
     result = check_ring_base_schreier(ring, sources, guard=hom_guard,
-                                      max_size=max_size)
+                                      max_size=RING_BASE_MAX_SIZE)
     rep.add("ring-base-schreier[z2_ring]", result.ok,
             f"split epis={result.checked} from {len(sources)} semirings",
             None if result.ok else
@@ -437,7 +436,7 @@ def suite_ring_base(cat: Catalog | None = None, *, max_size: int = 8,
 
     try:
         check_ring_base_schreier(cat.semirings["bool_rig"], sources,
-                                 guard=hom_guard, max_size=max_size)
+                                 guard=hom_guard, max_size=RING_BASE_MAX_SIZE)
     except StructuralError as exc:
         rep.add("ring-base-precondition[bool_rig]", True, str(exc))
     else:

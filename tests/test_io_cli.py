@@ -217,6 +217,14 @@ def test_cli_catalog_export_then_use_files(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == _total_entries()
     assert main(["verify", "ssfl", "--catalog", str(out)]) == 0
+    capsys.readouterr()
+
+    # a second file for one entry name is refused, not silently preferred
+    (out / "z2.json").write_text((out / "b2.algebra.json").read_text())
+    assert main(["catalog", "list", "--catalog", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("StructuralError:")
+    assert "z2.algebra.json" in err and "z2.json" in err
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -247,6 +255,32 @@ def test_cli_validate(tmp_path, capsys):
         path = tmp_path / name
         path.write_text(dumps_canonical(doc))
         assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("StructuralError:")
+
+    # malformed witness payloads and search results, replayed by report
+    def witness(checker, payload):
+        return {"type": "witness", "schema": 1, "checker": checker,
+                "payload": payload, "verdict": "x"}
+
+    def search_result(witnesses):
+        return {"type": "search_result", "schema": 1, "witnesses": witnesses}
+
+    for i, doc in enumerate((witness("schreier", {}),
+                             witness("schreier", {"point": [1]}),
+                             witness("kernel_coherence", {"f": {"source": 1}}),
+                             search_result(5), search_result([5]))):
+        path = tmp_path / f"replay{i}.json"
+        path.write_text(dumps_canonical(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("StructuralError:")
+
+
+def test_cli_self_referential_algebra_path_exits_two(tmp_path, capsys):
+    path = tmp_path / "self.json"
+    path.write_text(dumps_canonical({"A": "self.json", "B": "self.json",
+                                     "f": [0], "s": [0]}))
+    for command in ("schreier", "report"):
+        assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("StructuralError:")
 
 

@@ -1,0 +1,82 @@
+"""The names the benchmark's tracer and child process reach into.
+
+perfbench/tracer.py wraps the functions its TARGETS name, and its counters
+read their arguments by position and parameter name; perfbench/child.py
+checks that the hom caches start cold.  A refactor that renames any of these
+breaks every benchmark pass, so this test pins them.  It reads tracer.py
+without writing anything under perfbench/.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from schreierkit import algebra
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # no __pycache__ next to tracer.py
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _target(name: str):
+    mod_name, fn_name = name.split(".")
+    return getattr(importlib.import_module(f"schreierkit.{mod_name}"), fn_name)
+
+
+def _argument_reads(tracer) -> dict[str, list[tuple[int, str]]]:
+    """For each _count_<fn> method, the (position, name) pairs it passes to _arg."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_count_"):
+            reads[node.name[len("_count_"):]] = [
+                (call.args[2].value, call.args[3].value)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"]
+    return reads
+
+
+def test_every_target_resolves(tracer):
+    for name in tracer.SPAN_NAMES:
+        obj = _target(name)
+        if inspect.isclass(obj):
+            assert "__init__" in obj.__dict__, name
+        else:
+            assert callable(obj), name
+
+
+def test_counters_read_parameters_the_targets_take(tracer):
+    reads = _argument_reads(tracer)
+    assert reads  # the parse found the counters
+    checked = 0
+    for name in tracer.SPAN_NAMES:
+        fn_name = name.split(".")[1]
+        if fn_name not in reads:
+            continue
+        params = list(inspect.signature(_target(name)).parameters)
+        for position, param in reads[fn_name]:
+            assert params[position] == param, (name, position, param)
+            checked += 1
+    assert checked == 8  # a, b, a1, a2, h, F, p, doc
+
+
+def test_hom_caches_and_candidate_count_exist():
+    assert callable(algebra.hom_candidate_count)
+    for cached in (algebra._homs_core, algebra.generating_set):
+        assert cached.cache_info().maxsize is None
