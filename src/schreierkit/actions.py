@@ -16,29 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra, Table,
-                      check_hom, enumerate_homs, hom_maps, identity_hom,
-                      make_algebra, same_signature, validate_algebra)
+                      _as_table, check_hom, enumerate_homs, hom_maps,
+                      identity_hom, make_algebra, same_signature,
+                      validate_algebra)
 from .errors import (ComputationError, InvalidAction, NotSchreier,
-                     SignatureMismatch, StructuralError)
+                     SignatureMismatch)
 from .points import (Point, PointMorphism, SchreierWitness, check_schreier,
                      kernel_algebra)
 
 MONOID_KINDS = (Kind.MONOID, Kind.COMMUTATIVE_MONOID)
-
-
-def _check_table(t, rows: int, cols: int, size: int, what: str) -> Table:
-    # Shape rows x cols, entries integers in range(size), as algebra._as_table.
-    if len(t) != rows:
-        raise StructuralError(f"{what}: expected {rows} rows, got {len(t)}")
-    out = []
-    for i, row in enumerate(t):
-        if len(row) != cols:
-            raise StructuralError(f"{what}: row {i} has {len(row)} entries, expected {cols}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
-                raise StructuralError(f"{what}: entry {v!r} in row {i} out of range 0..{size - 1}")
-        out.append(tuple(row))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -53,7 +39,7 @@ class MonoidAction:
         if self.B.kind not in MONOID_KINDS or self.X.kind not in MONOID_KINDS:
             raise SignatureMismatch("monoid action needs monoid-kind B and X")
         b, x = self.B.size, self.X.size
-        object.__setattr__(self, "act", _check_table(self.act, b, x, x, "act"))
+        object.__setattr__(self, "act", _as_table(self.act, b, x, x, "act"))
 
 
 @dataclass(frozen=True)
@@ -69,8 +55,8 @@ class SemiringAction:
         if self.B.kind is not Kind.SEMIRING or self.X.kind is not Kind.SEMIRING:
             raise SignatureMismatch("semiring action needs semiring-kind B and X")
         b, x = self.B.size, self.X.size
-        object.__setattr__(self, "left", _check_table(self.left, b, x, x, "act-left"))
-        object.__setattr__(self, "right", _check_table(self.right, x, b, x, "act-right"))
+        object.__setattr__(self, "left", _as_table(self.left, b, x, x, "act-left"))
+        object.__setattr__(self, "right", _as_table(self.right, x, b, x, "act-right"))
 
 
 Action = MonoidAction | SemiringAction

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .actions import (MonoidAction, SemiringAction, equivariant_homs,
                       restrict_action, validate_action)
-from .algebra import (DEFAULT_HOM_GUARD, Hom, TabularAlgebra, check_hom,
-                      compose, first_escape, restrict_to_subalgebra)
+from .algebra import (DEFAULT_HOM_GUARD, Hom, TabularAlgebra, _subalgebra,
+                      check_hom, compose, first_escape)
 from .errors import ComputationError, GuardExceeded, StructuralError
 
 DEFAULT_FUNC_GUARD = 1_000_000
@@ -56,12 +56,6 @@ class CofreeTable:
     @property
     def M(self) -> TabularAlgebra:
         return self.m_action.X
-
-    def index_of(self, u: tuple[int, ...]) -> int | None:
-        try:
-            return self.elements.index(tuple(u))
-        except ValueError:
-            return None
 
 
 def _member_mon(u, h: Hom, F: MonoidAction) -> bool:
@@ -228,7 +222,7 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
     if escape is not None:
         _, m1, m2 = escape
         raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
-    monoid, embed = restrict_to_subalgebra(M, members)
+    monoid, embed = _subalgebra(M, members)
     pos = {u: i for i, u in enumerate(c.elements)}
     compare = []
     for m in embed:
@@ -315,7 +309,7 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     if escape is not None:
         name, x, y = escape
         raise ComputationError(f"R_h(X) not closed under {name} at ({x}, {y})")
-    algebra, embed = restrict_to_subalgebra(X, members)
+    algebra, embed = _subalgebra(X, members)
     pos = {v: i for i, v in enumerate(embed)}
     pre = tuple(fib[0] for fib in fibres)
 

@@ -35,13 +35,14 @@ class Kind(str, Enum):
     JT_GENERIC = "jt"
 
 
-def _as_table(rows, size: int, what: str) -> Table:
-    if len(rows) != size:
-        raise StructuralError(f"{what}: expected {size} rows, got {len(rows)}")
+def _as_table(t, rows: int, cols: int, size: int, what: str) -> Table:
+    """t as a tuple table of shape rows x cols with integer entries in range(size)."""
+    if len(t) != rows:
+        raise StructuralError(f"{what}: expected {rows} rows, got {len(t)}")
     out = []
-    for i, row in enumerate(rows):
-        if len(row) != size:
-            raise StructuralError(f"{what}: row {i} has {len(row)} entries, expected {size}")
+    for i, row in enumerate(t):
+        if len(row) != cols:
+            raise StructuralError(f"{what}: row {i} has {len(row)} entries, expected {cols}")
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
                 raise StructuralError(f"{what}: entry {v!r} in row {i} out of range 0..{size - 1}")
@@ -68,14 +69,15 @@ class TabularAlgebra:
     def __post_init__(self):
         if self.size < 1:
             raise StructuralError("algebra needs at least the zero element")
-        object.__setattr__(self, "add", _as_table(self.add, self.size, "add"))
+        n = self.size
+        object.__setattr__(self, "add", _as_table(self.add, n, n, n, "add"))
         ops = []
         seen = set()
         for name, table in self.extra_ops:
             if name == "add" or name in seen:
                 raise StructuralError(f"duplicate or reserved op name {name!r}")
             seen.add(name)
-            ops.append((name, _as_table(table, self.size, name)))
+            ops.append((name, _as_table(table, n, n, n, name)))
         object.__setattr__(self, "extra_ops", tuple(ops))
         names = tuple(name for name, _ in self.extra_ops)
         if self.kind in (Kind.MONOID, Kind.COMMUTATIVE_MONOID) and names:
@@ -157,9 +159,6 @@ class LawReport:
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def violations(self) -> tuple[LawEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
 
     def first_violation(self) -> LawEntry | None:
         for e in self.entries:
@@ -586,9 +585,6 @@ class Pullback:
     proj1: Hom
     proj2: Hom
 
-    def index_of(self, x: int, y: int) -> int:
-        return self.pairs.index((x, y))
-
 
 def pullback(f: Hom, g: Hom) -> Pullback:
     """Sub-product {(x, y) | f(x) = g(y)} with the two projections.
@@ -643,12 +639,19 @@ def restrict_to_subalgebra(a: TabularAlgebra, members) -> tuple[TabularAlgebra, 
     element i.  Members must contain 0 and be closed under every op.
     """
     embed = tuple(sorted(set(members)))
-    if not embed or embed[0] != 0:
-        raise StructuralError("subalgebra must contain 0")
-    escape = first_escape(a, embed)
+    # _subalgebra refuses a subset without 0 before any closure scan.
+    escape = first_escape(a, embed) if 0 in embed else None
     if escape is not None:
         name, x, y = escape
         raise StructuralError(f"subset not closed: {x} op {y} = {a.op_table(name)[x][y]} escapes")
+    return _subalgebra(a, embed)
+
+
+def _subalgebra(a: TabularAlgebra, embed: tuple[int, ...]) -> tuple[TabularAlgebra, tuple[int, ...]]:
+    """The algebra on embed, a sorted subset of a's carrier that the caller has
+    proved closed under every op."""
+    if not embed or embed[0] != 0:
+        raise StructuralError("subalgebra must contain 0")
     pos = {v: i for i, v in enumerate(embed)}
     alg = _derived(a, len(embed), lambda _, t: tuple(
         tuple(pos[t[x][y]] for y in embed) for x in embed))

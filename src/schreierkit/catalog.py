@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from .actions import (MONOID_KINDS, MonoidAction, SemiringAction,
                       require_valid_action, semidirect, semidirect_srng)
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra,
-                      enumerate_homs, make_algebra, product, require_valid)
-from .coherence import CoherenceInstance, jointly_strongly_epi
+                      make_algebra, product, require_valid)
+from .coherence import CoherenceInstance, jse_pairs
 from .errors import StructuralError
-from .points import (Point, check_schreier, enumerate_fibre_morphisms,
-                     identity_point, product_point)
+from .points import Point, check_schreier, identity_point, product_point
 
 
 def _mon(add) -> TabularAlgebra:
@@ -243,18 +242,9 @@ def coherence_instances(cat: Catalog, variety: str, *,
                 if check_schreier(p).is_schreier}
     out = []
     for mid_name, mid in schreier.items():
-        for left_name, left in schreier.items():
-            if left.B != mid.B:
-                continue
-            fs = enumerate_fibre_morphisms(left, mid, guard=guard)
-            for right_name, right in schreier.items():
-                if right.B != mid.B:
-                    continue
-                gs = enumerate_fibre_morphisms(right, mid, guard=guard)
-                for i, f in enumerate(fs):
-                    for j, g in enumerate(gs):
-                        if not jointly_strongly_epi(f.g, g.g).ok:
-                            continue
-                        name = f"{left_name}[{i}]->{mid_name}<-{right_name}[{j}]"
-                        out.append((name, CoherenceInstance(f, g)))
+        names = [name for name, p in schreier.items() if p.B == mid.B]
+        pairs = jse_pairs(mid, [schreier[name] for name in names], guard=guard)
+        for l, i, r, j, f, g in pairs:
+            name = f"{names[l]}[{i}]->{mid_name}<-{names[r]}[{j}]"
+            out.append((name, CoherenceInstance(f, g)))
     return tuple(out)

@@ -280,10 +280,18 @@ def _cmd_report(ns, argv) -> tuple[int, Document]:
         if (not isinstance(cmd, list) or not cmd
                 or not all(isinstance(c, str) for c in cmd)):
             raise StructuralError("report file carries no replayable command")
-        if cmd[0] == "report":
+        try:  # argparse exits on --help or a usage error
+            with contextlib.redirect_stdout(io.StringIO()):
+                stored = _build_parser().parse_args(cmd)
+        except SystemExit:
+            raise StructuralError("report file carries no replayable command")
+        if stored.command == "report":
             raise StructuralError("refusing to replay a replay report")
+        if stored.command == "catalog":
+            raise StructuralError("refusing to replay a catalog command")
+        stored.json = stored.out = None  # a replay recomputes verdicts, writes no file
         with contextlib.redirect_stdout(io.StringIO()):
-            _, fresh = _run(list(cmd))
+            _, fresh = stored.handler(stored, cmd)
         same = fresh is not None and reports_equal_modulo_timestamp(doc, fresh)
         rep.add("report-replay", same,
                 f"re-ran `{' '.join(cmd)}`: " +
@@ -429,14 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(argv: list[str]) -> tuple[int, Document | None]:
-    ns = _build_parser().parse_args(argv)
-    return ns.handler(ns, argv)
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        code, _ = _run(list(sys.argv[1:] if argv is None else argv))
+        code, _ = ns.handler(ns, argv)
         return code
     except ToolkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

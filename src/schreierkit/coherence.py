@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
                       derivation, identity_hom, subset)
 from .errors import ComputationError, StructuralError
-from .points import (Point, PointMorphism, check_schreier, enumerate_split_epis,
+from .points import (Point, PointMorphism, check_schreier,
+                     enumerate_fibre_morphisms, enumerate_split_epis,
                      kernel_algebra, pullback_point, schreier_retraction)
 
 Trace = tuple[tuple[int, tuple], ...]
@@ -55,6 +56,22 @@ def jointly_strongly_epi(f: Hom, g: Hom) -> JseCheck:
     seeds = ([(f.map[a], ("f", a)) for a in f.source.elements]
              + [(g.map[c], ("g", c)) for c in g.source.elements])
     return _generate_with_trace(f.target, seeds)
+
+
+def jse_pairs(middle: Point, points, *, guard: int = DEFAULT_HOM_GUARD):
+    """Every jointly strongly epimorphic pair of fibre morphisms into middle.
+
+    points are candidate sources over the base of middle.  Yields (l, i, r, j,
+    f, g) where f is the i-th fibre morphism points[l] -> middle and g the
+    j-th points[r] -> middle, looping over l, i, r, j; each list of fibre
+    morphisms is enumerated once.
+    """
+    flat = [(l, i, f) for l, p in enumerate(points)
+            for i, f in enumerate(enumerate_fibre_morphisms(p, middle, guard=guard))]
+    for l, i, f in flat:
+        for r, j, g in flat:
+            if jointly_strongly_epi(f.g, g.g).ok:
+                yield l, i, r, j, f, g
 
 
 @dataclass(frozen=True)
@@ -234,39 +251,16 @@ def decompose_product_element(inst: CoherenceInstance, a: int, c: int,
 
     Requires p(f(a) g(c)) = 0.  Writing a = h + s'(b1) and c = l + s''(b2),
     the product expands to f(h)g(l) + f(h s'(b2)) + g(s''(b1) l), the fourth
-    summand s(b1 b2) vanishing because b1 b2 = p(f(a)g(c)) = 0.  Membership of
-    the corrected leaves in the kernels, the identity, and the vanishing are
-    all checked by evaluation.
+    summand s(b1 b2) vanishing because b1 b2 = p(f(a)g(c)) = 0.  This is
+    decompose_kernel_word on the two-letter word, which checks membership of
+    the corrected leaves in the kernels, the identity, and the vanishing by
+    evaluation.
     """
     _require_semiring(inst)
     if order not in ("fg", "gf"):
         raise StructuralError(f"unknown order {order!r}")
-    A, C, D = inst.left.A, inst.right.A, inst.middle.A
-    fa, gc = inst.f.g.map[a], inst.g.g.map[c]
-    k = D.mul(fa, gc) if order == "fg" else D.mul(gc, fa)
-    if inst.middle.f.map[k] != 0:
-        raise StructuralError(f"hypothesis fails: the product maps to "
-                              f"{inst.middle.f.map[k]} != 0 in the base")
-    q_left = schreier_retraction(inst.left)
-    q_right = schreier_retraction(inst.right)
-    h, l = q_left[a], q_right[c]
-    b1, b2 = inst.left.f.map[a], inst.right.f.map[c]
-    s_left, s_right = inst.left.s.map, inst.right.s.map
-    if order == "fg":
-        tree = ("add",
-                ("mul", ("f", h), ("g", l)),
-                ("f", A.mul(h, s_left[b2])),
-                ("g", C.mul(s_right[b1], l)),
-                ("szero",))
-        vanishing = (b1, b2)
-    else:
-        tree = ("add",
-                ("mul", ("g", l), ("f", h)),
-                ("g", C.mul(l, s_right[b1])),
-                ("f", A.mul(s_left[b2], h)),
-                ("szero",))
-        vanishing = (b2, b1)
-    return _certify(inst, k, tree, vanishing)
+    f, g = ("f", a), ("g", c)
+    return decompose_kernel_word(inst, (f, g) if order == "fg" else (g, f))
 
 
 def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
@@ -286,24 +280,19 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
         raise StructuralError("cannot decompose the empty word")
     D = inst.middle.A
     dmul, dadd = D.op_table("mul"), D.add
-    fmap, gmap = inst.f.g.map, inst.g.g.map
     smap = inst.middle.s.map
-    q_left = schreier_retraction(inst.left)
-    q_right = schreier_retraction(inst.right)
-    s_left, s_right = inst.left.s.map, inst.right.s.map
+    # per letter tag: its source point, its map into D, its Schreier retraction
+    sides = {"f": (inst.left, inst.f.g.map, schreier_retraction(inst.left)),
+             "g": (inst.right, inst.g.g.map, schreier_retraction(inst.right))}
 
     letters = []
     for tag, x in word:
-        if tag == "f":
-            if not (0 <= x < inst.left.A.size):
-                raise StructuralError(f"letter f({x}) out of range")
-            letters.append((fmap[x], ("f", q_left[x]), inst.left.f.map[x]))
-        elif tag == "g":
-            if not (0 <= x < inst.right.A.size):
-                raise StructuralError(f"letter g({x}) out of range")
-            letters.append((gmap[x], ("g", q_right[x]), inst.right.f.map[x]))
-        else:
+        if tag not in ("f", "g"):
             raise StructuralError(f"unknown letter tag {tag!r}")
+        src, to_d, q = sides[tag]
+        if not (0 <= x < src.A.size):
+            raise StructuralError(f"letter {tag}({x}) out of range")
+        letters.append((to_d[x], (tag, q[x]), src.f.map[x]))
 
     k = letters[0][0]
     for v, _, _ in letters[1:]:
@@ -322,67 +311,49 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
             acc = v if acc is None else dmul[acc][v]
         return acc
 
+    def merge(x, y):
+        # The factor replacing adjacent factors x y, or None for two leaves.
+        (k1, p1), (k2, p2) = x, y
+        if k1 == "s" and k2 == "s":
+            return ("s", inst.base.mul(p1, p2))
+        if k2 == "s":  # f(h) s(b) = f(h s'(b)), and likewise for g
+            src = sides[p1[0]][0]
+            return ("leaf", (p1[0], src.A.mul(p1[1], src.s.map[p2])))
+        if k1 == "s":
+            src = sides[p2[0]][0]
+            return ("leaf", (p2[0], src.A.mul(src.s.map[p1], p2[1])))
+        return None
+
     def absorb(factors):
-        # Eliminate section factors, preserving the evaluated value at each step.
-        factors = list(factors)
-        while True:
-            merged = False
-            for i in range(len(factors) - 1):
-                (k1, p1), (k2, p2) = factors[i], factors[i + 1]
-                if k1 == "s" and k2 == "s":
-                    repl = ("s", inst.base.mul(p1, p2))
-                elif k1 != "s" and p1[0] in ("f", "g") and k2 == "s":
-                    if p1[0] == "f":
-                        repl = ("leaf", ("f", inst.left.A.mul(p1[1], s_left[p2])))
-                    else:
-                        repl = ("leaf", ("g", inst.right.A.mul(p1[1], s_right[p2])))
-                elif k1 == "s" and k2 != "s" and p2[0] in ("f", "g"):
-                    if p2[0] == "f":
-                        repl = ("leaf", ("f", inst.left.A.mul(s_left[p1], p2[1])))
-                    else:
-                        repl = ("leaf", ("g", inst.right.A.mul(s_right[p1], p2[1])))
-                else:
-                    continue
-                before = term_value(factors)
-                candidate = factors[:i] + [repl] + factors[i + 2:]
-                after = term_value(candidate)
-                if before != after:
-                    raise ComputationError("absorption step changed the term value")
-                factors = candidate
-                merged = True
-                break
-            if not merged:
-                return factors
+        # One left fold: out is always [s] or a run of kernel leaves, and each
+        # merge is checked on the value of the whole term.
+        out = []
+        for i, cur in enumerate(factors):
+            repl = merge(out[-1], cur) if out else None
+            if repl is None:
+                out.append(cur)
+                continue
+            rest = factors[i + 1:]
+            if term_value(out + [cur] + rest) != term_value(out[:-1] + [repl] + rest):
+                raise ComputationError("absorption step changed the term value")
+            out[-1] = repl
+        return out
 
     n = len(letters)
     summands = []
-    vanishing_product = None
     for mask in range(1 << n):
-        factors = []
-        for i, (_, leaf, b) in enumerate(letters):
-            if mask & (1 << i):
-                factors.append(("s", b))
-            else:
-                factors.append(("leaf", leaf))
+        factors = [("s", b) if mask & (1 << i) else ("leaf", leaf)
+                   for i, (_, leaf, b) in enumerate(letters)]
+        reduced = absorb(factors)
         if mask == (1 << n) - 1:
-            only_s = absorb(factors)
-            if len(only_s) != 1 or only_s[0][0] != "s":
-                raise ComputationError("all-section term failed to collapse")
-            vanishing_product = only_s[0][1]
-            if vanishing_product != 0:
+            # s of the product of the base values, which the hypothesis forces to 0
+            if reduced != [("s", 0)]:
                 raise ComputationError("all-section term does not vanish")
             summands.append(("szero",))
             continue
-        reduced = absorb(factors)
-        if any(kind == "s" for kind, _ in reduced):
-            raise ComputationError("a mixed term kept a section factor")
         leaves = [payload for _, payload in reduced]
         summands.append(leaves[0] if len(leaves) == 1 else ("mul", *leaves))
     tree = ("add", *summands)
-    # Certificate: the product of the letters' base values is p of the word,
-    # forced to 0 by the hypothesis; absorb() already collapsed it stepwise.
-    if vanishing_product is None:
-        raise ComputationError("all-section term never materialized")
     return _certify(inst, k, tree, tuple(b for _, _, b in letters))
 
 
@@ -409,12 +380,11 @@ class RingBaseReport:
 
 
 def check_ring_base_schreier(B: TabularAlgebra, sources, *,
-                             guard: int = DEFAULT_HOM_GUARD,
-                             max_size: int = 8) -> RingBaseReport:
+                             guard: int = DEFAULT_HOM_GUARD) -> RingBaseReport:
     """Over a base whose addition is a group, every split epi is Schreier.
 
-    Enumerates all split epimorphisms onto B from each source algebra of size
-    at most max_size and checks each.  Rejects bases without additive
+    Enumerates all split epimorphisms onto B from each (label, algebra) source
+    and checks each.  Rejects bases without additive
     inverses: the statement is specific to rings.
     """
     if B.kind is not Kind.SEMIRING:
@@ -426,8 +396,6 @@ def check_ring_base_schreier(B: TabularAlgebra, sources, *,
     violations = []
     checked = 0
     for label, A in sources:
-        if A.size > max_size:
-            continue
         count = 0
         for p in enumerate_split_epis(A, B, guard=guard):
             w = check_schreier(p)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import (DEFAULT_HOM_GUARD, Hom, Subset, TabularAlgebra, compose,
-                      check_hom, enumerate_homs, first_escape,
+from .algebra import (DEFAULT_HOM_GUARD, Hom, Subset, TabularAlgebra, _subalgebra,
+                      compose, check_hom, enumerate_homs, first_escape,
                       generated_subalgebra, identity_hom, product, pullback,
-                      restrict_to_subalgebra, subset)
+                      subset)
 from .errors import NotSchreier, StructuralError
 
 
@@ -143,7 +143,7 @@ def is_strong_point(p: Point) -> StrongPointCheck:
 
 def kernel_algebra(p: Point) -> tuple[TabularAlgebra, tuple[int, ...]]:
     """The kernel as an algebra of its own, plus the embedding into A."""
-    return restrict_to_subalgebra(p.A, p.kernel.members)
+    return _subalgebra(p.A, p.kernel.members)  # Point proved the kernel closed
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,6 @@ class PulledBackPoint:
     point: Point  # over E
     pairs: tuple[tuple[int, int], ...]  # (a, e) carrier of the new total algebra
     to_A: Hom  # first projection, a morphism of total algebras
-
-    def kernel_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.pairs[i] for i in self.point.kernel)
 
 
 def pullback_point(h: Hom, p: Point) -> PulledBackPoint:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .algebra import Kind, TabularAlgebra, make_algebra, same_signature
 from .catalog import build_catalog
-from .coherence import CoherenceInstance, check_kernel_coherence, jointly_strongly_epi
+from .coherence import CoherenceInstance, check_kernel_coherence, jse_pairs
 from .errors import ComputationError, StructuralError
 from .points import (check_schreier, enumerate_fibre_morphisms,
                      enumerate_split_epis, kernel_restriction_bijective)
@@ -201,20 +201,15 @@ def _search_kernel_coherence(goal, algebras, clock, tally):
         schreier = [p for p in points if check_schreier(p).is_schreier]
         for middle in schreier:
             clock.tick()
-            fs = [m for left in schreier
-                  for m in enumerate_fibre_morphisms(left, middle)]
-            for f in fs:
-                for g in fs:
-                    if not jointly_strongly_epi(f.g, g.g).ok:
-                        continue
-                    tally[0] += 1
-                    inst = CoherenceInstance(f, g)
-                    chk = check_kernel_coherence(inst)
-                    if not chk.ok:
-                        payload = {"f": point_morphism_to_dict(f),
-                                   "g": point_morphism_to_dict(g)}
-                        yield _witness(goal, "kernel_coherence", payload,
-                                       _kernel_coherence_verdict(inst))
+            for *_, f, g in jse_pairs(middle, schreier):
+                tally[0] += 1
+                inst = CoherenceInstance(f, g)
+                chk = check_kernel_coherence(inst)
+                if not chk.ok:
+                    payload = {"f": point_morphism_to_dict(f),
+                               "g": point_morphism_to_dict(g)}
+                    yield _witness(goal, "kernel_coherence", payload,
+                                   _kernel_coherence_verdict(inst))
 
 
 def _search_ssfl(goal, algebras, clock, tally):

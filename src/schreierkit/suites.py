@@ -425,18 +425,16 @@ def suite_ring_base(cat: Catalog | None = None, *,
     a non-Schreier split epi."""
     cat = cat or build_catalog()
     rep = Report(list(command), {"max_size": RING_BASE_MAX_SIZE, "guard_homs": hom_guard})
-    sources = sorted(cat.semirings.items())
+    sources = _sized(cat.semirings, RING_BASE_MAX_SIZE)
     ring = cat.semirings["z2_ring"]
-    result = check_ring_base_schreier(ring, sources, guard=hom_guard,
-                                      max_size=RING_BASE_MAX_SIZE)
+    result = check_ring_base_schreier(ring, sources, guard=hom_guard)
     rep.add("ring-base-schreier[z2_ring]", result.ok,
             f"split epis={result.checked} from {len(sources)} semirings",
             None if result.ok else
             point_to_dict(result.violations[0].point))
 
     try:
-        check_ring_base_schreier(cat.semirings["bool_rig"], sources,
-                                 guard=hom_guard, max_size=RING_BASE_MAX_SIZE)
+        check_ring_base_schreier(cat.semirings["bool_rig"], sources, guard=hom_guard)
     except StructuralError as exc:
         rep.add("ring-base-precondition[bool_rig]", True, str(exc))
     else:

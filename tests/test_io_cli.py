@@ -328,6 +328,58 @@ def test_cli_report_of_report_is_rejected(tmp_path, capsys):
     assert "refusing to replay a replay report" in capsys.readouterr().err
 
 
+def _report_with_command(tmp_path, command) -> str:
+    rpath = tmp_path / "crafted.json"
+    assert main(["verify", "ring-base", "--json", str(rpath)]) == 0
+    doc = json.loads(rpath.read_text())
+    doc["command"] = command
+    rpath.write_text(dumps_canonical(doc))
+    return str(rpath)
+
+
+@pytest.mark.parametrize("command", [["--help"], ["verify", "bogus"]])
+def test_cli_report_replay_refuses_commands_that_do_not_parse(tmp_path, capsys, command):
+    rpath = _report_with_command(tmp_path, command)
+    capsys.readouterr()
+    assert main(["report", rpath]) == 2
+    assert "no replayable command" in capsys.readouterr().err
+
+
+def test_cli_report_replay_refuses_catalog_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rpath = _report_with_command(tmp_path, ["catalog", "export", "--out", "exported"])
+    capsys.readouterr()
+    assert main(["report", rpath]) == 2
+    assert "refusing to replay a catalog command" in capsys.readouterr().err
+    assert not (tmp_path / "exported").exists()
+
+
+@pytest.mark.parametrize("flag", ["--json", "--js"])
+def test_cli_report_replay_writes_no_json(tmp_path, monkeypatch, capsys, flag):
+    # "--js" reaches --json through argparse's prefix matching
+    monkeypatch.chdir(tmp_path)
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me")
+    rpath = _report_with_command(tmp_path, ["verify", "ring-base", flag, "victim.txt"])
+    capsys.readouterr()
+    assert main(["report", rpath]) in (0, 1)
+    assert victim.read_text() == "keep me"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["crafted.json", "victim.txt"]
+
+
+def test_cli_report_replay_leaves_out_file_alone(tmp_path, capsys):
+    action = tmp_path / "a.json"
+    save(CAT.monoid_actions["zeroendo_b2_z2"], action)
+    out, rpath = tmp_path / "sd.json", tmp_path / "r.json"
+    assert main(["semidirect", str(action), "--out", str(out),
+                 "--json", str(rpath)]) == 0
+    out.write_text("sentinel")
+    capsys.readouterr()
+    assert main(["report", str(rpath)]) == 0
+    assert "verdicts reproduced" in capsys.readouterr().out
+    assert out.read_text() == "sentinel"
+
+
 def test_cli_search_witnesses_replay_via_report(tmp_path, capsys):
     spath = tmp_path / "s.json"
     # completing with witnesses still exits 0: the sweep itself succeeded
