@@ -47,7 +47,7 @@ from .search import (GOALS, SearchBounds, SearchResult, replay_witness,
                      result_to_dict, search_counterexamples)
 from .serialize import (dumps_canonical, from_dict, load, load_action,
                         load_algebra, load_hom, load_point, save, to_dict)
-from .suites import (run_all, suite_adjunction_mon, suite_adjunction_srng,
+from .suites import (suite_adjunction_mon, suite_adjunction_srng,
                      suite_coherence, suite_protomodularity, suite_ring_base,
                      suite_roundtrip, suite_ssfl)
 

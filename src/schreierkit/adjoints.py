@@ -16,7 +16,9 @@ so a sweep over sections builds L(B, M) once per (h, F).
 
 For semirings along a surjective h, the right adjoint is the invariant
 subalgebra R_h(X) = { x | e1 . x = e2 . x and x . e1 = x . e2 whenever
-h(e1) = h(e2) }, with B acting through any preimage.
+h(e1) = h(e2) }, with B acting through any preimage.  verify_adjunction_srng
+takes an InvariantSub the caller built, so a sweep over actions G builds
+R_h(X) once per (h, F).
 
 Identities that are theorems for valid inputs (closure of the filtered
 carriers, equivariance of the counit, the triangle equation) are still
@@ -185,13 +187,10 @@ class SurjectiveCofree:
     failure rather than raised.
     """
 
-    h: Hom
-    m_action: MonoidAction
     sect: tuple[int, ...]
     members: tuple[int, ...]
     monoid: TabularAlgebra  # the submonoid, restricted from M
-    embed: tuple[int, ...]
-    cofree: CofreeTable
+    cofree: CofreeTable  # carries h and the action of E on M
     compare: tuple[int, ...]  # submonoid index -> index in cofree.elements
     is_isomorphism: bool
     failure: str | None
@@ -222,10 +221,10 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
     if escape is not None:
         _, m1, m2 = escape
         raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
-    monoid, embed = _subalgebra(M, members)
+    monoid, _ = _subalgebra(M, members)
     pos = {u: i for i, u in enumerate(c.elements)}
     compare = []
-    for m in embed:
+    for m in members:
         u = tuple(act[sect[b]][m] for b in B.elements)
         i = pos.get(u)
         if i is None:
@@ -233,8 +232,7 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
         compare.append(i)
     compare = tuple(compare)
     is_iso, failure = _compare_verdict(monoid, c, compare)
-    return SurjectiveCofree(h, F, sect, members, monoid, embed, c,
-                            compare, is_iso, failure)
+    return SurjectiveCofree(sect, members, monoid, c, compare, is_iso, failure)
 
 
 def _compare_verdict(monoid: TabularAlgebra, cofree: CofreeTable,
@@ -282,9 +280,8 @@ class InvariantSub:
 
     h: Hom
     x_action: SemiringAction
-    members: tuple[int, ...]
+    members: tuple[int, ...]  # sorted; index i of the subalgebra is members[i]
     algebra: TabularAlgebra
-    embed: tuple[int, ...]
     action: SemiringAction  # B acting on the subalgebra
 
 
@@ -309,43 +306,43 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     if escape is not None:
         name, x, y = escape
         raise ComputationError(f"R_h(X) not closed under {name} at ({x}, {y})")
-    algebra, embed = _subalgebra(X, members)
-    pos = {v: i for i, v in enumerate(embed)}
+    algebra, _ = _subalgebra(X, members)
+    pos = {v: i for i, v in enumerate(members)}
     pre = tuple(fib[0] for fib in fibres)
 
     def sub_left(b: int, i: int) -> int:
-        v = left[pre[b]][embed[i]]
+        v = left[pre[b]][members[i]]
         if v not in pos:
-            raise ComputationError(f"action escapes R_h(X) at ({b} . {embed[i]})")
+            raise ComputationError(f"action escapes R_h(X) at ({b} . {members[i]})")
         return pos[v]
 
     def sub_right(i: int, b: int) -> int:
-        v = right[embed[i]][pre[b]]
+        v = right[members[i]][pre[b]]
         if v not in pos:
-            raise ComputationError(f"action escapes R_h(X) at ({embed[i]} . {b})")
+            raise ComputationError(f"action escapes R_h(X) at ({members[i]} . {b})")
         return pos[v]
 
-    bl = tuple(tuple(sub_left(b, i) for i in range(len(embed))) for b in B.elements)
-    br = tuple(tuple(sub_right(i, b) for b in B.elements) for i in range(len(embed)))
+    bl = tuple(tuple(sub_left(b, i) for i in range(len(members))) for b in B.elements)
+    br = tuple(tuple(sub_right(i, b) for b in B.elements) for i in range(len(members)))
     for b in B.elements:  # choice-independence across whole fibres
         for e in fibres[b]:
-            for i, v in enumerate(embed):
+            for i, v in enumerate(members):
                 if left[e][v] != left[pre[b]][v] or right[v][e] != right[v][pre[b]]:
                     raise ComputationError(f"preimage choice matters at (b={b}, e={e}, x={v})")
     action = SemiringAction(B, algebra, bl, br)
     rep = validate_action(action)
     if not rep.ok:
         raise ComputationError(f"induced action violates {rep.first_violation()}")
-    return InvariantSub(h, F, members, algebra, embed, action)
+    return InvariantSub(h, F, members, algebra, action)
 
 
 def restrict_invariant_map(inv: InvariantSub, w: Hom) -> Hom:
     """R_h on maps: restrict an equivariant w: X -> X to R_h(X)."""
     if w.source != inv.x_action.X or w.target != inv.x_action.X:
         raise StructuralError("restrict_invariant_map expects an endomap of the carrier")
-    pos = {v: i for i, v in enumerate(inv.embed)}
+    pos = {v: i for i, v in enumerate(inv.members)}
     rows = []
-    for v in inv.embed:
+    for v in inv.members:
         img = w.map[v]
         if img not in pos:
             raise ComputationError(f"equivariant map leaves R_h(X) at {v}")
@@ -373,88 +370,62 @@ class AdjunctionReport:
                 and self.naturality_ok and self.functoriality_ok)
 
 
-def verify_adjunction_srng(h: Hom, G: SemiringAction, F: SemiringAction, *,
+def verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
                            guard: int = DEFAULT_HOM_GUARD) -> AdjunctionReport:
-    """Exhibit the bijection Hom_E(h*(G), F) = Hom_B(G, R_h(F)).
+    """Exhibit the bijection Hom_E(h*(G), F) = Hom_B(G, R_h(F)) for
+    inv = invariants_srng(h, F).
 
     Every equivariant map on the left lands inside R_h(X) and corestricts to
     a map on the right; the two hom-sets are enumerated independently and the
     corestriction is checked to be a bijection.  Naturality is sampled on
     equivariant endomaps of F and of G; functoriality of the restriction on
-    composable pairs.
+    composable pairs.  The checks run in that order and stop at the first
+    failure; the report's flag for a check that never ran stays True.
     """
-    if G.B != h.target or F.B != h.source:
+    h, F = inv.h, inv.x_action
+    if G.B != h.target:
         raise StructuralError("verify_adjunction_srng: G acts by the target of h, F by its source")
-    inv = invariants_srng(h, F)
-    restricted = restrict_action(h, G)
-    lhs = equivariant_homs(restricted, F, guard=guard)
-    rhs = equivariant_homs(G, inv.action, guard=guard)
-    pos = {v: i for i, v in enumerate(inv.embed)}
+    lhs = [t.map for t in equivariant_homs(restrict_action(h, G), F, guard=guard)]
+    rhs = {u.map for u in equivariant_homs(G, inv.action, guard=guard)}
+    pos = {v: i for i, v in enumerate(inv.members)}
+    xs = G.X.elements
 
-    def corestrict(t: Hom) -> tuple[int, ...] | None:
-        out = []
-        for y in G.X.elements:
-            i = pos.get(t.map[y])
-            if i is None:
-                return None
-            out.append(i)
-        return tuple(out)
+    def corestrict(t: tuple[int, ...]) -> tuple[int, ...] | None:
+        c = tuple(pos.get(t[y]) for y in xs)
+        return None if None in c else c
 
-    failure = None
-    rhs_maps = {u.map for u in rhs}
-    images = []
-    for t in lhs:
-        c = corestrict(t)
-        if c is None:
-            failure = f"a left-hand map escapes R_h(X): {t.map}"
-            break
-        if c not in rhs_maps:
-            failure = f"corestriction {c} is not equivariant on the right"
-            break
-        images.append(c)
-    bijection_ok = (failure is None and len(set(images)) == len(images)
-                    and set(images) == rhs_maps)
-    if failure is None and not bijection_ok:
-        failure = "corestriction is not a bijection of hom-sets"
-
-    naturality_ok = True
-    if bijection_ok:
+    def failures():
+        # (check, message) for each failure, in check order; read up to the first.
+        images = []
+        for t in lhs:
+            c = corestrict(t)
+            if c is None:
+                yield "bijection", f"a left-hand map escapes R_h(X): {t}"
+            if c not in rhs:
+                yield "bijection", f"corestriction {c} is not equivariant on the right"
+            images.append(c)
+        if len(set(images)) != len(images) or set(images) != rhs:
+            yield "bijection", "corestriction is not a bijection of hom-sets"
+        pairs = list(zip(lhs, images))
         endos_f = equivariant_homs(F, F, guard=guard)
-        restricted = {}  # w.map -> R_h(w), filled in the order the loop reaches w
+        restricted = {}  # w.map -> R_h(w).map, filled in the order the loop reaches w
         for w in endos_f:
-            rw = restricted[w.map] = restrict_invariant_map(inv, w)
-            for t in lhs:
-                lhs_side = corestrict(Hom(G.X, F.X, tuple(w.map[t.map[y]] for y in G.X.elements)))
-                rhs_side = tuple(rw.map[i] for i in corestrict(t))
-                if lhs_side != rhs_side:
-                    naturality_ok = False
-                    failure = f"naturality square fails for w={w.map}, t={t.map}"
-                    break
-            if not naturality_ok:
-                break
-        if naturality_ok:
-            for v in equivariant_homs(G, G, guard=guard):
-                for t in lhs:
-                    if corestrict(compose(t, v)) != tuple(
-                            corestrict(t)[v.map[y]] for y in G.X.elements):
-                        naturality_ok = False
-                        failure = f"naturality square fails for v={v.map}, t={t.map}"
-                        break
-                if not naturality_ok:
-                    break
-
-    functoriality_ok = True
-    if bijection_ok and naturality_ok:  # so every endo of F is in restricted
-        for w1 in endos_f:
+            rw = restricted[w.map] = restrict_invariant_map(inv, w).map
+            for t, c in pairs:
+                if corestrict(tuple(w.map[v] for v in t)) != tuple(rw[i] for i in c):
+                    yield "naturality", f"naturality square fails for w={w.map}, t={t}"
+        for v in equivariant_homs(G, G, guard=guard):
+            for t, c in pairs:
+                if corestrict(tuple(t[y] for y in v.map)) != tuple(c[y] for y in v.map):
+                    yield "naturality", f"naturality square fails for v={v.map}, t={t}"
+        for w1 in endos_f:  # every endo of F is in restricted by now
             for w2 in endos_f:
-                both = restrict_invariant_map(inv, compose(w1, w2))
-                stepwise = compose(restricted[w1.map], restricted[w2.map])
-                if both.map != stepwise.map:
-                    functoriality_ok = False
-                    failure = f"restriction fails functoriality at ({w1.map}, {w2.map})"
-                    break
-            if not functoriality_ok:
-                break
+                r1, r2 = restricted[w1.map], restricted[w2.map]
+                if (restrict_invariant_map(inv, compose(w1, w2)).map
+                        != tuple(r1[i] for i in r2)):
+                    yield "functoriality", (f"restriction fails functoriality at "
+                                            f"({w1.map}, {w2.map})")
 
-    return AdjunctionReport(h, len(lhs), len(rhs), bijection_ok,
-                            naturality_ok, functoriality_ok, failure)
+    failed, failure = next(failures(), (None, None))
+    return AdjunctionReport(h, len(lhs), len(rhs), failed != "bijection",
+                            failed != "naturality", failed != "functoriality", failure)

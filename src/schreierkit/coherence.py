@@ -281,24 +281,24 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     D = inst.middle.A
     dmul, dadd = D.op_table("mul"), D.add
     smap = inst.middle.s.map
-    # per letter tag: its source point, its map into D, its Schreier retraction
-    sides = {"f": (inst.left, inst.f.g.map, schreier_retraction(inst.left)),
-             "g": (inst.right, inst.g.g.map, schreier_retraction(inst.right))}
-
-    letters = []
+    # per letter tag: its source point and its map into D
+    sides = {"f": (inst.left, inst.f.g.map), "g": (inst.right, inst.g.g.map)}
     for tag, x in word:
         if tag not in ("f", "g"):
             raise StructuralError(f"unknown letter tag {tag!r}")
-        src, to_d, q = sides[tag]
-        if not (0 <= x < src.A.size):
+        if not (0 <= x < sides[tag][0].A.size):
             raise StructuralError(f"letter {tag}({x}) out of range")
-        letters.append((to_d[x], (tag, q[x]), src.f.map[x]))
-
-    k = letters[0][0]
-    for v, _, _ in letters[1:]:
+    values = [sides[tag][1][x] for tag, x in word]
+    k = values[0]
+    for v in values[1:]:
         k = dmul[k][v]
     if inst.middle.f.map[k] != 0:
         raise StructuralError("hypothesis fails: the word does not land in the kernel")
+
+    # the retractions are needed only for a word the hypothesis admits
+    q = {"f": schreier_retraction(inst.left), "g": schreier_retraction(inst.right)}
+    letters = [(v, (tag, q[tag][x]), sides[tag][0].f.map[x])
+               for v, (tag, x) in zip(values, word)]
 
     for value, leaf, b in letters:  # each split checked: letter = leaf + s(b)
         if dadd[evaluate_tree(inst, leaf)][smap[b]] != value:

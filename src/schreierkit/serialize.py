@@ -215,11 +215,11 @@ def save(obj: Serializable | Document, path: str | Path) -> Path:
 def _read_json(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a null byte, or bytes that are not UTF-8
         raise StructuralError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}")
 
 

@@ -19,8 +19,8 @@ from .actions import (enumerate_monoid_actions, enumerate_semiring_actions,
                       equivariant_homs, point_to_action, restrict_action,
                       roundtrip_point_iso, semidirect_point)
 from .adjoints import (DEFAULT_FUNC_GUARD, cofree_mon, cofree_mon_surjective,
-                       counit_mon, mediate_mon, pointed_sections,
-                       verify_adjunction_srng)
+                       counit_mon, invariants_srng, mediate_mon,
+                       pointed_sections, verify_adjunction_srng)
 from .algebra import DEFAULT_HOM_GUARD, TabularAlgebra, enumerate_homs
 from .catalog import Catalog, build_catalog, coherence_instances
 from .coherence import (check_coherence_along, check_kernel_coherence,
@@ -322,9 +322,10 @@ def suite_adjunction_srng(cat: Catalog | None = None, *,
                 if not h.is_surjective():
                     continue
                 for F in actions_on(E):
+                    inv = invariants_srng(h, F)
                     for G in actions_on(B):
                         triples += 1
-                        adj = verify_adjunction_srng(h, G, F, guard=hom_guard)
+                        adj = verify_adjunction_srng(inv, G, guard=hom_guard)
                         if not adj.ok:
                             bad += 1
                             first_failure = first_failure or (adj.failure or "")
@@ -445,12 +446,3 @@ def suite_ring_base(cat: Catalog | None = None, *,
     rep.add("non-schreier-over-bool_rig", not w.is_schreier, w.describe())
     return rep
 
-
-def run_all(cat: Catalog | None = None, *, command=("verify", "all")) -> Report:
-    cat = cat or build_catalog()
-    rep = Report(list(command), {})
-    for suite in (suite_protomodularity, suite_ssfl, suite_roundtrip,
-                  suite_adjunction_mon, suite_adjunction_srng,
-                  suite_coherence, suite_ring_base):
-        rep.extend(suite(cat))
-    return rep

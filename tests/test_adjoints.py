@@ -216,7 +216,7 @@ def test_adjunction_srng_on_sample_homs():
         h = Hom(prod2, Z2R, hmap)
         for G in (CAT.semiring_actions["mul_z2r_z2r"],
                   CAT.semiring_actions["zero_z2r_z2r"]):
-            rep = verify_adjunction_srng(h, G, F)
+            rep = verify_adjunction_srng(invariants_srng(h, F), G)
             assert rep.ok, rep.failure
             assert rep.lhs_count == rep.rhs_count
 
@@ -228,7 +228,7 @@ def test_adjunction_srng_hom_sets_singletons_on_collapse():
     proj2 = Hom(prod2, Z2R, (0, 1, 0, 1))
     F = CAT.semiring_actions["proj_mul_z2r2_z2r"]
     G = CAT.semiring_actions["mul_z2r_z2r"]
-    rep = verify_adjunction_srng(proj2, G, F)
+    rep = verify_adjunction_srng(invariants_srng(proj2, F), G)
     assert rep.ok
     assert rep.lhs_count == rep.rhs_count == 1
 
@@ -237,4 +237,4 @@ def test_adjunction_srng_shape_checks():
     F = CAT.semiring_actions["mul_z2r_z2r"]
     G = CAT.semiring_actions["mul_bool_bool"]
     with pytest.raises(StructuralError):
-        verify_adjunction_srng(identity_hom(Z2R), G, F)  # G acts by BOOL
+        verify_adjunction_srng(invariants_srng(identity_hom(Z2R), F), G)  # G acts by BOOL

@@ -15,6 +15,7 @@ from schreierkit import (CoherenceInstance, Hom, NotSchreier, PointMorphism,
                          evaluate_tree, identity_hom, is_additive_group,
                          jointly_strongly_epi, jse_in_fibre, kernel_algebra,
                          replay_witness, search_counterexamples)
+from schreierkit import points
 from schreierkit.serialize import point_to_dict
 
 CAT = build_catalog()
@@ -276,6 +277,22 @@ def test_word_decomposition_rejections():
         decompose_kernel_word(inst, (("f", 99),))
     with pytest.raises(StructuralError):
         decompose_kernel_word(inst, (("f", 1),))  # lands over base 1, not 0
+
+
+def test_refused_word_takes_no_schreier_retraction(monkeypatch):
+    inst = _identity_instance("sd_mul_z2r")
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return check_schreier(p)
+
+    monkeypatch.setattr(points, "check_schreier", counting)
+    with pytest.raises(StructuralError, match="does not land in the kernel"):
+        decompose_kernel_word(inst, (("f", 1),))
+    assert calls == []
+    decompose_kernel_word(inst, (("f", 0),))  # an admitted word takes both
+    assert calls == [inst.left, inst.right]
 
 
 # ---------------------------------------------------------------------------

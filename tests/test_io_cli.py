@@ -257,6 +257,16 @@ def test_cli_validate(tmp_path, capsys):
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("StructuralError:")
 
+    # a path with a null byte, bytes that are not UTF-8, nesting too deep to parse
+    (tmp_path / "nul.json").write_text(dumps_canonical(
+        {"A": "a\u0000b", "B": "a\u0000b", "f": [0], "s": [0]}))
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "caf\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    for name in ("nul.json", "latin1.json", "deep.json"):
+        for command in ("validate", "report"):
+            assert main([command, str(tmp_path / name)]) == 2
+            assert capsys.readouterr().err.startswith("StructuralError:")
+
     # malformed witness payloads and search results, replayed by report
     def witness(checker, payload):
         return {"type": "witness", "schema": 1, "checker": checker,

@@ -4,21 +4,28 @@ perfbench/tracer.py wraps the functions its TARGETS name, and its counters
 read their arguments by position and parameter name; perfbench/child.py
 checks that the hom caches start cold.  A refactor that renames any of these
 breaks every benchmark pass, so this test pins them.  It reads tracer.py
-without writing anything under perfbench/.
+without writing anything under perfbench/.  One untraced pass of the
+sweep-replay workload also runs end to end, checked against the oracle the
+benchmark uses.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from schreierkit import algebra
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +87,18 @@ def test_hom_caches_and_candidate_count_exist():
     assert callable(algebra.hom_candidate_count)
     for cached in (algebra._homs_core, algebra.generating_set):
         assert cached.cache_info().maxsize is None
+
+
+def test_one_sweep_replay_pass_matches_the_oracle(tmp_path):
+    # The pass writes its JSON files into cwd; with no bytecode written,
+    # nothing lands under perfbench/ or src/.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--workload", "sweep-replay",
+         "--seed", "0", "--expected", str(PERFBENCH / "expected.json"),
+         "--t0", repr(time.monotonic())],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == {}
+    assert result["failed"] == 0 and result["attempted"] == 25

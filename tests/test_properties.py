@@ -1,6 +1,7 @@
 """Randomized invariants: subalgebra closure is a closure operator, hom
 enumeration agrees with brute force, and serialization is the identity, all
-over generated Jonsson-Tarski tables rather than the fixed catalog."""
+over generated Jonsson-Tarski tables rather than the fixed catalog; and
+from_dict either loads an arbitrary JSON value or raises ToolkitError."""
 
 import itertools
 import json
@@ -8,10 +9,11 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreierkit import (Kind, check_hom, compose, dumps_canonical,
-                         enumerate_homs, from_dict, generated_subalgebra,
-                         generating_set, hom_candidate_count, make_algebra,
-                         to_dict, validate_algebra)
+from schreierkit import (Kind, ToolkitError, check_hom, compose,
+                         dumps_canonical, enumerate_homs, from_dict,
+                         generated_subalgebra, generating_set,
+                         hom_candidate_count, make_algebra, to_dict,
+                         validate_algebra)
 
 
 @st.composite
@@ -118,3 +120,30 @@ def test_serialization_round_trip(a):
     doc = json.loads(dumps_canonical(to_dict(a)))
     assert from_dict(doc) == a
     assert dumps_canonical(doc) == dumps_canonical(json.loads(dumps_canonical(doc)))
+
+
+# the fields from_dict dispatches on, and values that pass its first checks
+DOC_KEYS = ("A", "B", "f", "s", "source", "target", "map", "kind", "size",
+            "add", "ops", "laws", "X", "act", "left", "right", "type", "schema")
+DOC_WORDS = ("monoid", "cmon", "semiring", "jt", "witness", "report",
+             "search_result", "add", "mul")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats()
+    | st.sampled_from(DOC_WORDS) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(DOC_KEYS) | st.text(max_size=3),
+                                     inner, max_size=6)),
+    max_leaves=24)
+documents = json_values | st.dictionaries(st.sampled_from(DOC_KEYS), json_values,
+                                          min_size=2, max_size=8)
+
+
+@given(documents)
+@settings(max_examples=200)
+def test_from_dict_loads_or_raises_toolkit_error(tmp_path_factory, doc):
+    base = tmp_path_factory.getbasetemp()  # a path string names no file there
+    try:
+        from_dict(doc, base_dir=base / "empty")
+    except ToolkitError:
+        pass
