@@ -377,6 +377,24 @@ def derivation(a: TabularAlgebra, seeds) -> dict[int, tuple]:
     return how
 
 
+def mask_of(elements) -> int:
+    """The int with bit x set for each x in elements."""
+    return sum(1 << x for x in set(elements))
+
+
+def closure_mask(a: TabularAlgebra, mask: int) -> int:
+    """The bitmask twin of derivation: the subalgebra generated by 0 and the
+    elements whose bits are set in mask, as a mask, with no record of how."""
+    mask |= 1
+    while True:
+        members = [x for x in a.elements if mask >> x & 1]
+        grown = mask | mask_of(t[x][y] for _, t in a.all_tables()
+                               for x in members for y in members)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 @lru_cache(maxsize=None)
 def generating_set(a: TabularAlgebra) -> tuple[int, ...]:
     """Greedy generating set: repeatedly adjoin the least element not yet generated."""

@@ -6,8 +6,10 @@ notion agrees with the underlying one because the section image s(B) = f(s'(B))
 already sits inside the image of f.  A CoherenceInstance packages two fibre
 morphisms of Schreier points into a common middle point; the checks below pull
 such an instance back along a base change (or apply the kernel functor) and
-ask whether joint strong epimorphy survives.  Each check generates with the
-one closure routine, algebra.derivation, whose record is the JseCheck trace.
+ask whether joint strong epimorphy survives.  A JseCheck records its trace
+with algebra.derivation; the sweeps that need only a verdict (jse_pairs, and
+the kernel-coherence search) close image bitmasks with algebra.closure_mask,
+and the search builds a CoherenceInstance only for a witness.
 
 For semirings the positive answer rests on an explicit decomposition of
 kernel elements of the middle point into sums of products of kernel images:
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
-                      derivation, identity_hom, subset)
+                      closure_mask, derivation, identity_hom, mask_of, subset)
 from .errors import ComputationError, StructuralError
 from .points import (Point, PointMorphism, check_schreier,
                      enumerate_fibre_morphisms, enumerate_split_epis,
@@ -64,13 +66,18 @@ def jse_pairs(middle: Point, points, *, guard: int = DEFAULT_HOM_GUARD):
     points are candidate sources over the base of middle.  Yields (l, i, r, j,
     f, g) where f is the i-th fibre morphism points[l] -> middle and g the
     j-th points[r] -> middle, looping over l, i, r, j; each list of fibre
-    morphisms is enumerated once.
+    morphisms is enumerated once, and each verdict once per union of images.
     """
-    flat = [(l, i, f) for l, p in enumerate(points)
+    flat = [(l, i, f, mask_of(f.g.map)) for l, p in enumerate(points)
             for i, f in enumerate(enumerate_fibre_morphisms(p, middle, guard=guard))]
-    for l, i, f in flat:
-        for r, j, g in flat:
-            if jointly_strongly_epi(f.g, g.g).ok:
+    full = (1 << middle.A.size) - 1
+    epi: dict[int, bool] = {}  # union of the two image masks -> verdict
+    for l, i, f, fm in flat:
+        for r, j, g, gm in flat:
+            m = fm | gm
+            if m not in epi:
+                epi[m] = closure_mask(middle.A, m) == full
+            if epi[m]:
                 yield l, i, r, j, f, g
 
 

@@ -25,7 +25,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import Kind, TabularAlgebra, make_algebra, same_signature
+from .algebra import (Kind, TabularAlgebra, closure_mask, make_algebra,
+                      mask_of, same_signature)
 from .catalog import build_catalog
 from .coherence import CoherenceInstance, check_kernel_coherence, jse_pairs
 from .errors import ComputationError, StructuralError
@@ -53,7 +54,8 @@ class SearchBounds:
     def __post_init__(self):
         if self.variety not in ("mon", "srng", "jt"):
             raise StructuralError(f"unknown search variety {self.variety!r}")
-        if self.max_size < 1 or self.max_witnesses < 1:
+        # not (t > 0) also refuses NaN, which would disable the deadline
+        if self.max_size < 1 or self.max_witnesses < 1 or not self.timeout_s > 0:
             raise StructuralError("search bounds must be positive")
 
 
@@ -169,10 +171,10 @@ def _reverify(doc: Document) -> Document:
     return doc
 
 
-def _split_epis(algebras, clock: _Clock):
-    """Every split-epi point between universe algebras; one tick per (A, B)."""
-    for A in algebras:
-        for B in algebras:
+def _split_epis(sources, bases, clock: _Clock):
+    """Every split-epi point A -> B, A in sources, B in bases; one tick per (A, B)."""
+    for A in sources:
+        for B in bases:
             if A.size < B.size or not same_signature(A, B):
                 continue
             clock.tick()
@@ -180,15 +182,14 @@ def _split_epis(algebras, clock: _Clock):
 
 
 def _points_over(algebras, clock: _Clock):
-    """All split-epi points between universe algebras, grouped by base."""
-    by_base: dict[TabularAlgebra, list] = {}
-    for p in _split_epis(algebras, clock):
-        by_base.setdefault(p.B, []).append(p)
-    return by_base
+    """All split-epi points between universe algebras, one base at a time, so
+    that only the points of the current base are held."""
+    for B in algebras:
+        yield list(_split_epis(algebras, (B,), clock))
 
 
 def _search_non_schreier(goal, algebras, clock, tally):
-    for p in _split_epis(algebras, clock):
+    for p in _split_epis(algebras, algebras, clock):
         tally[0] += 1
         w = check_schreier(p)
         if not w.is_schreier:
@@ -196,25 +197,36 @@ def _search_non_schreier(goal, algebras, clock, tally):
 
 
 def _search_kernel_coherence(goal, algebras, clock, tally):
-    by_base = _points_over(algebras, clock)
-    for points in by_base.values():
+    for points in _points_over(algebras, clock):
         schreier = [p for p in points if check_schreier(p).is_schreier]
         for middle in schreier:
             clock.tick()
-            for *_, f, g in jse_pairs(middle, schreier):
+            # K is a subalgebra of D holding every seed: closing in D is closing in K
+            kmask = mask_of(middle.kernel.members)
+            kimage: dict[tuple[int, int], int] = {}  # (l, i) -> mask of f(H)
+            coherent: dict[int, bool] = {}  # f(H) | g(L) -> verdict
+            for l, i, r, j, f, g in jse_pairs(middle, schreier):
                 tally[0] += 1
+                for key, mor in (((l, i), f), ((r, j), g)):
+                    if key not in kimage:
+                        kimage[key] = mask_of(mor.g.map[x] for x in mor.source.kernel)
+                seeds = kimage[l, i] | kimage[r, j]
+                if seeds not in coherent:
+                    coherent[seeds] = closure_mask(middle.A, seeds) == kmask
+                if coherent[seeds]:
+                    continue
                 inst = CoherenceInstance(f, g)
-                chk = check_kernel_coherence(inst)
-                if not chk.ok:
-                    payload = {"f": point_morphism_to_dict(f),
-                               "g": point_morphism_to_dict(g)}
-                    yield _witness(goal, "kernel_coherence", payload,
-                                   _kernel_coherence_verdict(inst))
+                payload = {"f": point_morphism_to_dict(f),
+                           "g": point_morphism_to_dict(g)}
+                if check_kernel_coherence(inst).ok:
+                    raise ComputationError("mask verdict fails, check_kernel_coherence "
+                                           f"holds, on {dumps_canonical(payload)}")
+                yield _witness(goal, "kernel_coherence", payload,
+                               _kernel_coherence_verdict(inst))
 
 
 def _search_ssfl(goal, algebras, clock, tally):
-    by_base = _points_over(algebras, clock)
-    for points in by_base.values():
+    for points in _points_over(algebras, clock):
         for src in points:
             clock.tick()
             for tgt in points:

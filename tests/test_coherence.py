@@ -3,11 +3,13 @@ the semiring decomposition identities with their vanishing certificates, the
 ring-base Schreier guarantee, and the bounded counterexample search."""
 
 import itertools
+import json
 
 import pytest
 
-from schreierkit import (CoherenceInstance, Hom, NotSchreier, PointMorphism,
-                         SearchBounds, StructuralError, build_catalog,
+from schreierkit import (CoherenceInstance, ComputationError, Hom, NotSchreier,
+                         PointMorphism, SearchBounds, StructuralError,
+                         build_catalog,
                          check_coherence_along, check_kernel_coherence,
                          check_ring_base_schreier, check_schreier,
                          coherence_instances, decompose_kernel_word,
@@ -15,8 +17,8 @@ from schreierkit import (CoherenceInstance, Hom, NotSchreier, PointMorphism,
                          evaluate_tree, identity_hom, is_additive_group,
                          jointly_strongly_epi, jse_in_fibre, kernel_algebra,
                          replay_witness, search_counterexamples)
-from schreierkit import points
-from schreierkit.serialize import point_to_dict
+from schreierkit import points, search
+from schreierkit.serialize import point_morphism_to_dict, point_to_dict
 
 CAT = build_catalog()
 B2 = CAT.monoids["b2"]
@@ -112,6 +114,17 @@ def test_kernel_coherence_fails_without_joint_strong_epimorphy():
     chk = check_kernel_coherence(inst)
     assert not chk.ok
     assert tuple(chk.generated) == (0,)  # both kernels map onto 0 only
+
+
+def test_section_pair_witness_round_trips_and_replays():
+    inst = _section_pair_instance()
+    payload = {"f": point_morphism_to_dict(inst.f),
+               "g": point_morphism_to_dict(inst.g)}
+    doc = search._witness("KernelCoherenceFailure", "kernel_coherence", payload,
+                          search._kernel_coherence_verdict(inst))
+    assert doc["verdict"] == "kernel_jse=False, generated=[0]"
+    assert search._reverify(doc) is doc
+    assert replay_witness(json.loads(dumps_canonical(doc))) == doc["verdict"]
 
 
 def test_instance_shape_rejections():
@@ -359,6 +372,29 @@ def test_search_kernel_coherence_clean_at_catalog_scale():
                                  SearchBounds(variety="mon", timeout_s=60))
     assert res.completed and res.witnesses == ()
     assert res.examined == 2250
+
+
+def test_search_kernel_coherence_jt3_fits_the_default_timeout():
+    res = search_counterexamples("KernelCoherenceFailure",
+                                 SearchBounds(variety="jt", max_size=3))
+    assert res.completed and res.witnesses == ()
+    assert res.examined == 65062
+
+
+def test_search_raises_when_the_mask_verdict_is_wrong(monkeypatch):
+    # A closure that drops its highest element makes the mask verdict say
+    # "fails" where check_kernel_coherence says "holds"; the cross-check of
+    # every would-be witness must catch it.
+    closure_mask = search.closure_mask
+
+    def drop_one(a, mask):
+        closed = closure_mask(a, mask)
+        return closed & ~(1 << (closed.bit_length() - 1))
+
+    monkeypatch.setattr(search, "closure_mask", drop_one)
+    with pytest.raises(ComputationError, match="check_kernel_coherence holds"):
+        search_counterexamples("KernelCoherenceFailure",
+                               SearchBounds(variety="jt", max_size=2))
 
 
 def test_search_ssfl_failures_exist_off_the_schreier_class():

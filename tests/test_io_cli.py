@@ -300,6 +300,10 @@ def test_cli_usage_errors_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # NaN would never reach the deadline; a negative timeout is no bound
+    for timeout in ("nan", "-1", "0"):
+        assert main(["search", "--goal", "NonSchreier", "--variety", "mon",
+                     "--max-size", "2", "--timeout", timeout]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ perfbench/tracer.py wraps the functions its TARGETS name, and its counters
 read their arguments by position and parameter name; perfbench/child.py
 checks that the hom caches start cold.  A refactor that renames any of these
 breaks every benchmark pass, so this test pins them.  It reads tracer.py
-without writing anything under perfbench/.  One untraced pass of the
-sweep-replay workload also runs end to end, checked against the oracle the
-benchmark uses.
+without writing anything under perfbench/.  One untraced pass each of
+the sweep-replay and jt-coherence workloads also runs end to end, checked
+against the oracle the benchmark uses.
 """
 
 import ast
@@ -89,16 +89,26 @@ def test_hom_caches_and_candidate_count_exist():
         assert cached.cache_info().maxsize is None
 
 
-def test_one_sweep_replay_pass_matches_the_oracle(tmp_path):
+def _one_pass(tmp_path, workload: str) -> dict:
     # The pass writes its JSON files into cwd; with no bytecode written,
     # nothing lands under perfbench/ or src/.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "--workload", "sweep-replay",
+        [sys.executable, str(PERFBENCH / "child.py"), "--workload", workload,
          "--seed", "0", "--expected", str(PERFBENCH / "expected.json"),
          "--t0", repr(time.monotonic())],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True, timeout=300)
     assert proc.returncode == 0
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == {}
+    return result
+
+
+def test_one_sweep_replay_pass_matches_the_oracle(tmp_path):
+    result = _one_pass(tmp_path, "sweep-replay")
     assert result["failed"] == 0 and result["attempted"] == 25
+
+
+def test_one_jt_coherence_pass_matches_the_oracle(tmp_path):
+    result = _one_pass(tmp_path, "jt-coherence")
+    assert result["failed"] == 0 and result["attempted"] == 1
