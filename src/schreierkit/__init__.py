@@ -16,7 +16,7 @@ from .adjoints import (AdjunctionReport, CofreeTable, InvariantSub,
                        SurjectiveCofree, all_sections, cofree_mon,
                        cofree_mon_surjective, counit_mon, invariants_srng,
                        mediate_mon, pointed_sections, restrict_invariant_map,
-                       verify_adjunction_srng)
+                       verify_adjunction_srng, verify_restriction_functor)
 from .algebra import (Hom, Kind, LawReport, Product, Pullback, Subset,
                       TabularAlgebra, algebras_isomorphic, check_hom,
                       compose, enumerate_homs, find_isomorphism,

@@ -18,7 +18,9 @@ For semirings along a surjective h, the right adjoint is the invariant
 subalgebra R_h(X) = { x | e1 . x = e2 . x and x . e1 = x . e2 whenever
 h(e1) = h(e2) }, with B acting through any preimage.  verify_adjunction_srng
 takes an InvariantSub the caller built, so a sweep over actions G builds
-R_h(X) once per (h, F).
+R_h(X) once per (h, F).  What depends on (h, F) alone, R_h on maps being a
+functor into B-actions with a commuting counit square, is checked once per
+(h, F) by verify_restriction_functor.
 
 Identities that are theorems for valid inputs (closure of the filtered
 carriers, equivariance of the counit, the triangle equation) are still
@@ -28,12 +30,12 @@ checked; their failure raises ComputationError, marking an internal bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .actions import (MonoidAction, SemiringAction, equivariant_homs,
                       restrict_action, validate_action)
 from .algebra import (DEFAULT_HOM_GUARD, Hom, TabularAlgebra, _subalgebra,
-                      check_hom, compose, first_escape)
+                      check_hom, first_escape)
 from .errors import ComputationError, GuardExceeded, StructuralError
 
 DEFAULT_FUNC_GUARD = 1_000_000
@@ -47,13 +49,14 @@ DEFAULT_FUNC_GUARD = 1_000_000
 class CofreeTable:
     """L(B, M) materialized: membership-filtered functions, pointwise monoid,
     shift action.  elements[i] is the function u as a tuple indexed by B;
-    element 0 is the zero function."""
+    element 0 is the zero function; pos inverts elements."""
 
     h: Hom  # E -> B
     m_action: MonoidAction  # the given action of E on M
     elements: tuple[tuple[int, ...], ...]
     monoid: TabularAlgebra  # pointwise addition on elements
     action: MonoidAction  # shift action of B on the monoid
+    pos: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
     def M(self) -> TabularAlgebra:
@@ -100,7 +103,7 @@ def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> C
     rep = validate_action(action)
     if not rep.ok:
         raise ComputationError(f"shift action violates {rep.first_violation()}")
-    return CofreeTable(h, F, elements, monoid, action)
+    return CofreeTable(h, F, elements, monoid, action, pos)
 
 
 def counit_mon(c: CofreeTable) -> Hom:
@@ -121,16 +124,28 @@ def counit_mon(c: CofreeTable) -> Hom:
     return eps
 
 
+def _index(c: CofreeTable, u: tuple[int, ...], what: str) -> int:
+    i = c.pos.get(u)
+    if i is None:
+        raise ComputationError(f"{what} image {u} escapes L(B, M)")
+    return i
+
+
+def _mediating_map(c: CofreeTable, G: MonoidAction, beta_map: tuple[int, ...]) -> tuple[int, ...]:
+    """gamma(x) = the index in c.elements of b |-> beta(b . x)."""
+    return tuple(_index(c, tuple(beta_map[G.act[b][x]] for b in c.h.target.elements), "mediating")
+                 for x in G.X.elements)
+
+
 def mediate_mon(c: CofreeTable, G: MonoidAction, beta: Hom, *,
-                check_unique: bool = True,
                 guard: int = DEFAULT_HOM_GUARD) -> Hom:
     """The mediating map gamma: S -> L(B, M) for an equivariant beta: h*(G) -> M.
 
     gamma(x)(b) = beta(b . x).  Rejects a beta that is not a homomorphism or
     not equivariant for the restricted action.  Verifies that gamma lands in
     L(B, M), is an equivariant homomorphism, and satisfies counit . gamma =
-    beta; with check_unique, exhaustively confirms no other equivariant map
-    satisfies the triangle.
+    beta, and exhaustively confirms that no other equivariant map satisfies
+    the triangle.
     """
     h, F = c.h, c.m_action
     if G.B != h.target:
@@ -144,31 +159,21 @@ def mediate_mon(c: CofreeTable, G: MonoidAction, beta: Hom, *,
         for x in G.X.elements:
             if beta.map[G.act[h.map[e]][x]] != F.act[e][beta.map[x]]:
                 raise StructuralError(f"beta is not equivariant at (e={e}, x={x})")
-    pos = {u: i for i, u in enumerate(c.elements)}
-    B = h.target
-    rows = []
-    for x in G.X.elements:
-        u = tuple(beta.map[G.act[b][x]] for b in B.elements)
-        i = pos.get(u)
-        if i is None:
-            raise ComputationError(f"mediating image {u} escapes L(B, M)")
-        rows.append(i)
-    gamma = Hom(G.X, c.monoid, tuple(rows))
+    gamma = Hom(G.X, c.monoid, _mediating_map(c, G, beta.map))
     chk = check_hom(gamma)
     if not chk.ok:
         raise ComputationError(f"gamma fails to be a homomorphism at {chk.witness}")
-    for b in B.elements:
+    for b in h.target.elements:
         for x in G.X.elements:
             if gamma.map[G.act[b][x]] != c.action.act[b][gamma.map[x]]:
                 raise ComputationError(f"gamma fails equivariance at (b={b}, x={x})")
     for x in G.X.elements:
         if c.elements[gamma.map[x]][0] != beta.map[x]:
             raise ComputationError(f"triangle identity fails at x={x}")
-    if check_unique:
-        mediators = [g for g in equivariant_homs(G, c.action, guard=guard)
-                     if all(c.elements[g.map[x]][0] == beta.map[x] for x in G.X.elements)]
-        if [g.map for g in mediators] != [gamma.map]:
-            raise ComputationError(f"expected a unique mediating map, found {len(mediators)}")
+    mediators = [g for g in equivariant_homs(G, c.action, guard=guard)
+                 if all(c.elements[g.map[x]][0] == beta.map[x] for x in G.X.elements)]
+    if [g.map for g in mediators] != [gamma.map]:
+        raise ComputationError(f"expected a unique mediating map, found {len(mediators)}")
     return gamma
 
 
@@ -222,15 +227,8 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
         _, m1, m2 = escape
         raise ComputationError(f"submonoid not closed at ({m1}, {m2})")
     monoid, _ = _subalgebra(M, members)
-    pos = {u: i for i, u in enumerate(c.elements)}
-    compare = []
-    for m in members:
-        u = tuple(act[sect[b]][m] for b in B.elements)
-        i = pos.get(u)
-        if i is None:
-            raise ComputationError(f"comparison image {u} escapes L(B, M)")
-        compare.append(i)
-    compare = tuple(compare)
+    compare = tuple(_index(c, tuple(act[sect[b]][m] for b in B.elements), "comparison")
+                    for m in members)
     is_iso, failure = _compare_verdict(monoid, c, compare)
     return SurjectiveCofree(sect, members, monoid, c, compare, is_iso, failure)
 
@@ -289,8 +287,7 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     """Compute R_h(X) and its induced B-action along a surjective h.
 
     The induced action evaluates through the least preimage of each b; the
-    defining condition makes the choice irrelevant, which is verified over
-    all preimages anyway.
+    defining condition of R_h(X) is exactly that the choice is irrelevant.
     """
     if F.B != h.source:
         raise StructuralError("invariants_srng: the action must act by the source of h")
@@ -310,25 +307,13 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     pos = {v: i for i, v in enumerate(members)}
     pre = tuple(fib[0] for fib in fibres)
 
-    def sub_left(b: int, i: int) -> int:
-        v = left[pre[b]][members[i]]
+    def locate(v: int, at: str) -> int:
         if v not in pos:
-            raise ComputationError(f"action escapes R_h(X) at ({b} . {members[i]})")
+            raise ComputationError(f"action escapes R_h(X) at ({at})")
         return pos[v]
 
-    def sub_right(i: int, b: int) -> int:
-        v = right[members[i]][pre[b]]
-        if v not in pos:
-            raise ComputationError(f"action escapes R_h(X) at ({members[i]} . {b})")
-        return pos[v]
-
-    bl = tuple(tuple(sub_left(b, i) for i in range(len(members))) for b in B.elements)
-    br = tuple(tuple(sub_right(i, b) for b in B.elements) for i in range(len(members)))
-    for b in B.elements:  # choice-independence across whole fibres
-        for e in fibres[b]:
-            for i, v in enumerate(members):
-                if left[e][v] != left[pre[b]][v] or right[v][e] != right[v][pre[b]]:
-                    raise ComputationError(f"preimage choice matters at (b={b}, e={e}, x={v})")
+    bl = tuple(tuple(locate(left[pre[b]][v], f"{b} . {v}") for v in members) for b in B.elements)
+    br = tuple(tuple(locate(right[v][pre[b]], f"{v} . {b}") for b in B.elements) for v in members)
     action = SemiringAction(B, algebra, bl, br)
     rep = validate_action(action)
     if not rep.ok:
@@ -343,11 +328,28 @@ def restrict_invariant_map(inv: InvariantSub, w: Hom) -> Hom:
     pos = {v: i for i, v in enumerate(inv.members)}
     rows = []
     for v in inv.members:
-        img = w.map[v]
-        if img not in pos:
+        if w.map[v] not in pos:
             raise ComputationError(f"equivariant map leaves R_h(X) at {v}")
-        rows.append(pos[img])
+        rows.append(pos[w.map[v]])
     return Hom(inv.algebra, inv.algebra, tuple(rows))
+
+
+def verify_restriction_functor(inv: InvariantSub, *,
+                               guard: int = DEFAULT_HOM_GUARD) -> str | None:
+    """Check R_h on maps for inv = invariants_srng(h, F): for every
+    equivariant endomap w of F, R_h(w) is an equivariant endomap of R_h(X)
+    (so R_h is a functor into B-actions) and the counit square commutes,
+    members[R_h(w)(i)] = w(members[i]).  Returns the first failure, or None.
+    """
+    endos = {u.map for u in equivariant_homs(inv.action, inv.action, guard=guard)}
+    for w in equivariant_homs(inv.x_action, inv.x_action, guard=guard):
+        r = restrict_invariant_map(inv, w).map
+        if r not in endos:
+            return f"R_h({w.map}) = {r} is not an equivariant endomap of R_h(X)"
+        for i, v in enumerate(inv.members):
+            if inv.members[r[i]] != w.map[v]:
+                return f"counit square fails for w={w.map} at x={v}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +362,11 @@ class AdjunctionReport:
     lhs_count: int  # equivariant maps h*(G) -> F
     rhs_count: int  # equivariant maps G -> R_h(F)
     bijection_ok: bool
-    naturality_ok: bool
-    functoriality_ok: bool
     failure: str | None
 
     @property
     def ok(self) -> bool:
-        return (self.lhs_count == self.rhs_count and self.bijection_ok
-                and self.naturality_ok and self.functoriality_ok)
+        return self.lhs_count == self.rhs_count and self.bijection_ok
 
 
 def verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
@@ -377,55 +376,27 @@ def verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
 
     Every equivariant map on the left lands inside R_h(X) and corestricts to
     a map on the right; the two hom-sets are enumerated independently and the
-    corestriction is checked to be a bijection.  Naturality is sampled on
-    equivariant endomaps of F and of G; functoriality of the restriction on
-    composable pairs.  The checks run in that order and stop at the first
-    failure; the report's flag for a check that never ran stays True.
+    corestriction is checked to be a bijection.  The checks run in that
+    order and stop at the first failure.  Naturality in F rests on R_h on
+    maps, which verify_restriction_functor checks once per (h, F).
     """
-    h, F = inv.h, inv.x_action
+    h = inv.h
     if G.B != h.target:
         raise StructuralError("verify_adjunction_srng: G acts by the target of h, F by its source")
-    lhs = [t.map for t in equivariant_homs(restrict_action(h, G), F, guard=guard)]
+    lhs = [t.map for t in equivariant_homs(restrict_action(h, G), inv.x_action, guard=guard)]
     rhs = {u.map for u in equivariant_homs(G, inv.action, guard=guard)}
     pos = {v: i for i, v in enumerate(inv.members)}
-    xs = G.X.elements
-
-    def corestrict(t: tuple[int, ...]) -> tuple[int, ...] | None:
-        c = tuple(pos.get(t[y]) for y in xs)
-        return None if None in c else c
-
-    def failures():
-        # (check, message) for each failure, in check order; read up to the first.
-        images = []
-        for t in lhs:
-            c = corestrict(t)
-            if c is None:
-                yield "bijection", f"a left-hand map escapes R_h(X): {t}"
-            if c not in rhs:
-                yield "bijection", f"corestriction {c} is not equivariant on the right"
-            images.append(c)
-        if len(set(images)) != len(images) or set(images) != rhs:
-            yield "bijection", "corestriction is not a bijection of hom-sets"
-        pairs = list(zip(lhs, images))
-        endos_f = equivariant_homs(F, F, guard=guard)
-        restricted = {}  # w.map -> R_h(w).map, filled in the order the loop reaches w
-        for w in endos_f:
-            rw = restricted[w.map] = restrict_invariant_map(inv, w).map
-            for t, c in pairs:
-                if corestrict(tuple(w.map[v] for v in t)) != tuple(rw[i] for i in c):
-                    yield "naturality", f"naturality square fails for w={w.map}, t={t}"
-        for v in equivariant_homs(G, G, guard=guard):
-            for t, c in pairs:
-                if corestrict(tuple(t[y] for y in v.map)) != tuple(c[y] for y in v.map):
-                    yield "naturality", f"naturality square fails for v={v.map}, t={t}"
-        for w1 in endos_f:  # every endo of F is in restricted by now
-            for w2 in endos_f:
-                r1, r2 = restricted[w1.map], restricted[w2.map]
-                if (restrict_invariant_map(inv, compose(w1, w2)).map
-                        != tuple(r1[i] for i in r2)):
-                    yield "functoriality", (f"restriction fails functoriality at "
-                                            f"({w1.map}, {w2.map})")
-
-    failed, failure = next(failures(), (None, None))
-    return AdjunctionReport(h, len(lhs), len(rhs), failed != "bijection",
-                            failed != "naturality", failed != "functoriality", failure)
+    failure = None
+    images = []
+    for t in lhs:
+        c = tuple(pos.get(t[y]) for y in G.X.elements)
+        if None in c:
+            failure = f"a left-hand map escapes R_h(X): {t}"
+            break
+        if c not in rhs:
+            failure = f"corestriction {c} is not equivariant on the right"
+            break
+        images.append(c)
+    if failure is None and (len(set(images)) != len(images) or set(images) != rhs):
+        failure = "corestriction is not a bijection of hom-sets"
+    return AdjunctionReport(h, len(lhs), len(rhs), failure is None, failure)

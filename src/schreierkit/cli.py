@@ -3,7 +3,8 @@
 One invocation runs one command and prints a report to stdout; --json writes
 the same report as canonical JSON.  Exit codes: 0 when every check passes (or
 a search runs to completion), 1 when a check fails (witnesses included in the
-report), 2 for usage, structural, and guard problems.
+report), 2 for usage, structural, and guard problems.  A reader that closes
+stdout early (`| head`) ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -442,10 +444,14 @@ def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         code, _ = ns.handler(ns, argv)
+        sys.stdout.flush()  # so a closed pipe shows up here, not at exit
         return code
     except ToolkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

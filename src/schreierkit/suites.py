@@ -18,9 +18,10 @@ import itertools
 from .actions import (enumerate_monoid_actions, enumerate_semiring_actions,
                       equivariant_homs, point_to_action, restrict_action,
                       roundtrip_point_iso, semidirect_point)
-from .adjoints import (DEFAULT_FUNC_GUARD, cofree_mon, cofree_mon_surjective,
-                       counit_mon, invariants_srng, mediate_mon,
-                       pointed_sections, verify_adjunction_srng)
+from .adjoints import (DEFAULT_FUNC_GUARD, _mediating_map, cofree_mon,
+                       cofree_mon_surjective, counit_mon, invariants_srng,
+                       pointed_sections, verify_adjunction_srng,
+                       verify_restriction_functor)
 from .algebra import DEFAULT_HOM_GUARD, TabularAlgebra, enumerate_homs
 from .catalog import Catalog, build_catalog, coherence_instances
 from .coherence import (check_coherence_along, check_kernel_coherence,
@@ -194,6 +195,31 @@ def suite_roundtrip(cat: Catalog | None = None, *,
     return rep
 
 
+def _mon_triple_failure(c, eps, G, hom_guard: int) -> tuple[str, str] | None:
+    """(counter, message) for the first check of one (h, F, G) that fails,
+    given c = L(B, M) for (h, F) and its counit eps."""
+    lhs = equivariant_homs(restrict_action(c.h, G), c.m_action, guard=hom_guard)
+    rhs = equivariant_homs(G, c.action, guard=hom_guard)
+    if len(lhs) != len(rhs):
+        return "cardinality", f"hom-set sizes {len(lhs)} != {len(rhs)}"
+    composed = {}
+    for gamma in rhs:
+        composed.setdefault(tuple(eps.map[v] for v in gamma.map), []).append(gamma.map)
+    if set(composed) != {t.map for t in lhs} or any(len(v) != 1 for v in composed.values()):
+        return "bijection", "counit composition is not a bijection onto the hom-set"
+    for beta in lhs:
+        try:
+            if _mediating_map(c, G, beta.map) != composed[beta.map][0]:
+                return "mediating", "mediating formula disagrees with the enumerated inverse"
+        except ComputationError as exc:
+            return "mediating", str(exc)
+    return None
+
+
+def _counts(bad: dict[str, int]) -> str:
+    return ", ".join(f"{name}={n}" for name, n in bad.items())
+
+
 def suite_adjunction_mon(cat: Catalog | None = None, *,
                          hom_guard: int = DEFAULT_HOM_GUARD,
                          func_guard: int = DEFAULT_FUNC_GUARD,
@@ -206,96 +232,79 @@ def suite_adjunction_mon(cat: Catalog | None = None, *,
     triple: |Hom_E(h*G, F)| = |Hom_B(G, L(B,M))|, composing with the counit
     is a bijection from the right-hand side onto the left (existence and
     uniqueness of the mediating map at once), and the mediating formula
-    produces exactly that unique preimage.
+    gamma(x)(b) = beta(b . x) is that bijection's inverse.  This covers all
+    that mediate_mon checks: gamma is then an enumerated equivariant hom
+    whose composite with the counit is beta.
 
     Second sweep: for surjective h the submonoid characterization: every
     pointed set-section yields the same submonoid, isomorphic to L(B, M).
+
+    A ComputationError while building L(B, M), its counit or a submonoid
+    fails every triple or instance of its (h, F) as "construction".
     """
     cat = cat or build_catalog()
     rep = Report(list(command),
                  {"base_max": ADJUNCTION_BASE_MAX, "source_max": ADJUNCTION_SOURCE_MAX,
                   "carrier_max": ADJUNCTION_CARRIER_MAX, "surj_base_max": ADJUNCTION_SURJ_BASE_MAX,
                   "guard_homs": hom_guard, "guard_functions": func_guard})
-    monoids = sorted(cat.monoids.items())
     actions_on = _action_pool(_sized(cat.monoids, ADJUNCTION_CARRIER_MAX),
                               enumerate_monoid_actions, hom_guard)
 
     triples = 0
-    card_bad = bij_bad = mediate_bad = 0
+    bad = dict.fromkeys(("construction", "cardinality", "bijection", "mediating"), 0)
     first_failure = ""
     for _, E in _sized(cat.monoids, ADJUNCTION_SOURCE_MAX):
         for _, B in _sized(cat.monoids, ADJUNCTION_BASE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
                 for F in actions_on(E):
-                    c = cofree_mon(h, F, guard=func_guard)
-                    eps = counit_mon(c)
+                    triples += len(actions_on(B))
+                    try:
+                        c = cofree_mon(h, F, guard=func_guard)
+                        eps = counit_mon(c)
+                    except ComputationError as exc:
+                        bad["construction"] += len(actions_on(B))
+                        first_failure = first_failure or str(exc)
+                        continue
                     for G in actions_on(B):
-                        triples += 1
-                        lhs = equivariant_homs(restrict_action(h, G), F,
-                                               guard=hom_guard)
-                        rhs = equivariant_homs(G, c.action, guard=hom_guard)
-                        if len(lhs) != len(rhs):
-                            card_bad += 1
-                            first_failure = first_failure or (
-                                f"hom-set sizes {len(lhs)} != {len(rhs)}")
-                            continue
-                        composed = {}
-                        for gamma in rhs:
-                            key = tuple(eps.map[v] for v in gamma.map)
-                            composed.setdefault(key, []).append(gamma)
-                        lhs_maps = {t.map for t in lhs}
-                        if (set(composed) != lhs_maps
-                                or any(len(v) != 1 for v in composed.values())):
-                            bij_bad += 1
-                            first_failure = first_failure or (
-                                "counit composition is not a bijection onto the hom-set")
-                            continue
-                        for beta in lhs:
-                            try:
-                                gamma = mediate_mon(c, G, beta, check_unique=False)
-                            except ComputationError as exc:
-                                mediate_bad += 1
-                                first_failure = first_failure or str(exc)
-                                break
-                            if gamma.map != composed[beta.map][0].map:
-                                mediate_bad += 1
-                                first_failure = first_failure or (
-                                    "mediating formula disagrees with the enumerated inverse")
-                                break
-    ok = card_bad == bij_bad == mediate_bad == 0
+                        failed = _mon_triple_failure(c, eps, G, hom_guard)
+                        if failed is not None:
+                            bad[failed[0]] += 1
+                            first_failure = first_failure or failed[1]
+    ok = not any(bad.values())
     rep.add("cofree-adjunction[mon]", ok,
             f"triples={triples}" if ok else
-            f"triples={triples}, cardinality={card_bad}, bijection={bij_bad}, "
-            f"mediating={mediate_bad}: {first_failure}")
+            f"triples={triples}, {_counts(bad)}: {first_failure}")
 
     instances = 0
-    iso_bad = indep_bad = 0
+    bad = dict.fromkeys(("construction", "iso failures", "section dependence"), 0)
     first_failure = ""
-    for _, E in monoids:
+    for _, E in sorted(cat.monoids.items()):
         for _, B in _sized(cat.monoids, ADJUNCTION_SURJ_BASE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
                 if not h.is_surjective():
                     continue
+                sections = pointed_sections(h)
                 for F in actions_on(E):
-                    c = cofree_mon(h, F, guard=func_guard)
-                    members_seen = None
-                    for sect in pointed_sections(h):
-                        instances += 1
-                        sc = cofree_mon_surjective(c, sect)
+                    instances += len(sections)
+                    try:
+                        c = cofree_mon(h, F, guard=func_guard)
+                        found = [cofree_mon_surjective(c, sect) for sect in sections]
+                    except ComputationError as exc:
+                        bad["construction"] += len(sections)
+                        first_failure = first_failure or str(exc)
+                        continue
+                    for sc in found:
                         if not sc.is_isomorphism:
-                            iso_bad += 1
+                            bad["iso failures"] += 1
                             first_failure = first_failure or (sc.failure or "not iso")
-                        if members_seen is None:
-                            members_seen = sc.members
-                        elif members_seen != sc.members:
-                            indep_bad += 1
+                        if sc.members != found[0].members:
+                            bad["section dependence"] += 1
                             first_failure = first_failure or (
                                 "submonoid depends on the chosen section")
-    ok = iso_bad == indep_bad == 0
+    ok = not any(bad.values())
     rep.add("surjective-cofree[mon]", ok,
             f"(h, F, section) instances={instances}" if ok else
-            f"instances={instances}, iso failures={iso_bad}, "
-            f"section dependence={indep_bad}: {first_failure}")
+            f"instances={instances}, {_counts(bad)}: {first_failure}")
     return rep
 
 
@@ -304,8 +313,12 @@ def suite_adjunction_srng(cat: Catalog | None = None, *,
                           command=("verify", "adjunction", "--variety", "srng")
                           ) -> Report:
     """The relative right adjoint for semiring actions, along every surjective
-    hom between catalog semirings: hom-set bijection via corestriction to the
-    invariant subalgebra, naturality on sampled squares, functoriality."""
+    hom h between catalog semirings and every action F of its source: R_h on
+    maps is a functor into B-actions with a commuting counit square, checked
+    once per (h, F), and for every action G of its target the hom-set
+    bijection via corestriction to the invariant subalgebra.  A triple
+    (h, F, G) fails when its bijection fails, or when R_h(X) or R_h on maps
+    fails for its (h, F)."""
     cat = cat or build_catalog()
     rep = Report(list(command),
                  {"source_max": ADJUNCTION_SOURCE_MAX,
@@ -322,9 +335,17 @@ def suite_adjunction_srng(cat: Catalog | None = None, *,
                 if not h.is_surjective():
                     continue
                 for F in actions_on(E):
-                    inv = invariants_srng(h, F)
+                    triples += len(actions_on(B))
+                    try:
+                        inv = invariants_srng(h, F)
+                        failure = verify_restriction_functor(inv, guard=hom_guard)
+                    except ComputationError as exc:
+                        failure = str(exc)
+                    if failure is not None:
+                        bad += len(actions_on(B))
+                        first_failure = first_failure or failure
+                        continue
                     for G in actions_on(B):
-                        triples += 1
                         adj = verify_adjunction_srng(inv, G, guard=hom_guard)
                         if not adj.ok:
                             bad += 1

@@ -1,18 +1,26 @@
-"""Differential test: verify_adjunction_srng, which now takes the InvariantSub
-it checks and compares maps as tuples, against the routine it replaced, kept
-here verbatim as the oracle except that it takes inv instead of building it
-(and reads inv.members, which is what inv.embed held)."""
+"""Differential test: verify_adjunction_srng, which now checks only the
+hom-set bijection, and verify_restriction_functor, which checks R_h on maps
+once per (h, F), against the routine they replaced.  That routine is kept
+here as the oracle: its body is the earlier library's, except that it
+returns its own report shape (the library's AdjunctionReport lost the
+naturality and functoriality flags) and can stop after the bijection part.
+
+The oracle's naturality and functoriality checks never fail on the sweep
+while R_h on maps is right: naturality on endos of G compares a
+corestriction with itself, and naturality on endos of F and functoriality
+reduce to members[pos[x]] == x.  Only a wrong R_h on maps can fail them,
+and the tests below show that verify_restriction_functor catches every
+such fault the oracle caught."""
 
 import dataclasses
-import sys
 
 import pytest
 
-from schreierkit import (AdjunctionReport, Hom, SemiringAction,
-                         StructuralError, build_catalog, compose,
-                         enumerate_homs, enumerate_semiring_actions,
+from schreierkit import (Hom, SemiringAction, StructuralError, build_catalog,
+                         compose, enumerate_homs, enumerate_semiring_actions,
                          equivariant_homs, invariants_srng, restrict_action,
-                         restrict_invariant_map, verify_adjunction_srng)
+                         restrict_invariant_map, verify_adjunction_srng,
+                         verify_restriction_functor)
 from schreierkit import adjoints
 from schreierkit.adjoints import InvariantSub
 from schreierkit.algebra import DEFAULT_HOM_GUARD
@@ -23,12 +31,25 @@ CAT = build_catalog()
 RESTRICT = restrict_invariant_map  # the library's, whatever a test patches in
 
 
+@dataclasses.dataclass(frozen=True)
+class OracleReport:
+    """The earlier library's AdjunctionReport."""
+    h: Hom
+    lhs_count: int
+    rhs_count: int
+    bijection_ok: bool
+    naturality_ok: bool
+    functoriality_ok: bool
+    failure: str | None
+
+
 # ---------------------------------------------------------------------------
 # the oracle
 
 
 def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
-                                   guard: int = DEFAULT_HOM_GUARD) -> AdjunctionReport:
+                                   guard: int = DEFAULT_HOM_GUARD,
+                                   bijection_only: bool = False) -> OracleReport:
     h, F = inv.h, inv.x_action
     if G.B != h.target or F.B != h.source:
         raise StructuralError("verify_adjunction_srng: G acts by the target of h, F by its source")
@@ -64,7 +85,7 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
         failure = "corestriction is not a bijection of hom-sets"
 
     naturality_ok = True
-    if bijection_ok:
+    if bijection_ok and not bijection_only:
         endos_f = equivariant_homs(F, F, guard=guard)
         restricted = {}  # w.map -> R_h(w), filled in the order the loop reaches w
         for w in endos_f:
@@ -90,7 +111,7 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
                     break
 
     functoriality_ok = True
-    if bijection_ok and naturality_ok:  # so every endo of F is in restricted
+    if bijection_ok and naturality_ok and not bijection_only:  # every endo of F is in restricted
         for w1 in endos_f:
             for w2 in endos_f:
                 both = restrict_invariant_map(inv, compose(w1, w2))
@@ -102,8 +123,8 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
             if not functoriality_ok:
                 break
 
-    return AdjunctionReport(h, len(lhs), len(rhs), bijection_ok,
-                            naturality_ok, functoriality_ok, failure)
+    return OracleReport(h, len(lhs), len(rhs), bijection_ok,
+                        naturality_ok, functoriality_ok, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +147,29 @@ def _sweep():
 
 
 SWEEP = list(_sweep())
+INVS = list({id(inv): inv for inv, _ in SWEEP}.values())
 
 
-def _outcome(verify, inv, G):
+def _outcome(verify, *args, **kwargs):
     try:
-        return verify(inv, G)
+        return verify(*args, **kwargs)
     except Exception as exc:  # the same exception, at the same point, counts as agreement
         return type(exc), str(exc)
 
 
-def _agree(inv, G) -> AdjunctionReport | tuple:
+def _agree(inv, G):
+    """The library's report against the oracle's bijection part; returns the
+    full oracle's outcome."""
     got = _outcome(verify_adjunction_srng, inv, G)
-    assert got == _outcome(_oracle_verify_adjunction_srng, inv, G), (inv.h.map, inv.members)
-    return got
+    want = _outcome(_oracle_verify_adjunction_srng, inv, G, bijection_only=True)
+    if isinstance(want, tuple):
+        assert got == want, (inv.h.map, inv.members)
+    else:
+        assert (got.h, got.lhs_count, got.rhs_count, got.bijection_ok, got.failure) == (
+            want.h, want.lhs_count, want.rhs_count, want.bijection_ok, want.failure), (
+            inv.h.map, inv.members)
+        assert got.ok == (want.lhs_count == want.rhs_count and want.bijection_ok)
+    return _outcome(_oracle_verify_adjunction_srng, inv, G)
 
 
 def _zero_action(inv):
@@ -159,8 +190,7 @@ def _tamperings(inv):
 
 
 BRANCHES = ("escapes R_h(X)", "is not equivariant on the right",
-            "is not a bijection of hom-sets", "naturality square fails for w=",
-            "naturality square fails for v=", "fails functoriality")
+            "is not a bijection of hom-sets")
 
 
 def _branch(outcome) -> str:
@@ -168,7 +198,7 @@ def _branch(outcome) -> str:
         return outcome[0].__name__
     if outcome.failure is None:
         return "ok"
-    return next(b for b in BRANCHES if b in outcome.failure)
+    return next((b for b in BRANCHES if b in outcome.failure), "after the bijection")
 
 
 # ---------------------------------------------------------------------------
@@ -177,53 +207,61 @@ def _branch(outcome) -> str:
 
 def test_sweep_agrees_with_the_oracle():
     assert len(SWEEP) == 3479
-    assert len({id(inv) for inv, _ in SWEEP}) == 298
+    assert len(INVS) == 298
     for inv, G in SWEEP:
-        assert _agree(inv, G).ok
+        full = _agree(inv, G)
+        # the deleted checks held on every triple
+        assert full.bijection_ok and full.naturality_ok and full.functoriality_ok
+    assert all(verify_restriction_functor(inv) is None for inv in INVS)
 
 
 def test_tampered_invariants_agree_with_the_oracle():
     branches = set()
     for inv, G in SWEEP[::5]:
         for bad in _tamperings(inv):
-            branches.add(_branch(_agree(bad, G)))
-    assert branches == {"ok", "StructuralError", *BRANCHES[:3]}
+            full = _agree(bad, G)
+            branch = _branch(full)
+            branches.add(branch)
+            if branch in ("StructuralError", "after the bijection"):
+                # the oracle got past the bijection and then failed on R_h of
+                # maps; the check that replaces its loops fails too
+                assert _outcome(verify_restriction_functor, bad) is not None
+    # the oracle's StructuralError is R_h(w) not fitting a tampered algebra
+    assert branches == {"ok", "StructuralError", *BRANCHES}
 
 
-def _wrong_restriction(correct_calls: int):
-    """An R_h on maps that is right for the first correct_calls calls on each
-    map and the identity after that."""
-    seen = {}
-
-    def restrict(inv, w):
-        seen[w.map] = seen.get(w.map, 0) + 1
-        if seen[w.map] <= correct_calls:
-            return RESTRICT(inv, w)
-        return Hom(inv.algebra, inv.algebra, tuple(range(inv.algebra.size)))
-    return restrict
+def _identity_restriction(inv, w):
+    return Hom(inv.algebra, inv.algebra, tuple(range(inv.algebra.size)))
 
 
-@pytest.mark.parametrize("correct_calls, branch, flag", [
-    (0, "naturality square fails for w=", "naturality_ok"),
-    (1, "fails functoriality", "functoriality_ok"),
-])
-def test_wrong_restriction_agrees_with_the_oracle(monkeypatch, correct_calls, branch, flag):
-    # Naturality on endos of G and functoriality compare corestrictions with
-    # themselves, so only a wrong R_h on maps can make them fail.
-    failures = 0
+def _off_by_one_restriction(inv, w):
+    n = inv.algebra.size
+    return Hom(inv.algebra, inv.algebra, tuple((i + 1) % n for i in RESTRICT(inv, w).map))
+
+
+@pytest.mark.parametrize("fault, branch", [
+    (_identity_restriction, "counit square fails"),
+    (_off_by_one_restriction, "is not an equivariant endomap"),
+], ids=["identity", "off-by-one"])
+def test_wrong_restriction_is_flagged_per_h_f(monkeypatch, fault, branch):
+    # A wrong R_h on maps was the one fault the oracle's naturality and
+    # functoriality loops could see.  verify_restriction_functor flags it on
+    # exactly the (h, F) where it differs from the right one, and on every
+    # (h, F) where the oracle flagged it.
+    changed = {id(inv) for inv in INVS
+               if any(fault(inv, w).map != RESTRICT(inv, w).map
+                      for w in equivariant_homs(inv.x_action, inv.x_action))}
+    assert changed
+    monkeypatch.setattr(adjoints, "restrict_invariant_map", fault)
+    flagged = set()
+    for inv in INVS:
+        failure = verify_restriction_functor(inv)
+        if failure is not None:
+            assert branch in failure
+            flagged.add(id(inv))
+    assert flagged == changed
+    monkeypatch.setitem(globals(), "restrict_invariant_map", fault)
     for inv, G in SWEEP[::7]:
-        outcomes = []
-        for verify, module in ((verify_adjunction_srng, adjoints),
-                               (_oracle_verify_adjunction_srng, sys.modules[__name__])):
-            monkeypatch.setattr(module, "restrict_invariant_map",
-                                _wrong_restriction(correct_calls))
-            outcomes.append(_outcome(verify, inv, G))
-            monkeypatch.undo()
-        got, want = outcomes
-        assert got == want, (inv.h.map, inv.members)
-        if got.failure is not None:
-            failures += 1
-            assert _branch(got) == branch
-            assert [got.bijection_ok, got.naturality_ok, got.functoriality_ok].count(False) == 1
-            assert getattr(got, flag) is False
-    assert failures > 0
+        full = _oracle_verify_adjunction_srng(inv, G)
+        if not (full.naturality_ok and full.functoriality_ok):
+            assert id(inv) in flagged, (inv.h.map, inv.members)

@@ -86,7 +86,7 @@ def test_mediate_triangle_and_uniqueness():
         for G in enumerate_monoid_actions(B2, Z2):
             restricted = restrict_action(h, G)
             for beta in equivariant_homs(restricted, F):
-                gamma = mediate_mon(c, G, beta)  # check_unique=True inside
+                gamma = mediate_mon(c, G, beta)  # also checks uniqueness
                 assert all(eps.map[gamma.map[x]] == beta.map[x]
                            for x in G.X.elements)
 

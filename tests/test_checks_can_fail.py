@@ -1,0 +1,145 @@
+"""Every adjunction verdict line can fail.
+
+A check that no fault can turn red certifies nothing.  Each row of the
+table below puts one wrong construction in place of the right one, at the
+module-level name the suite calls, and asserts that its line goes red,
+naming the counter or the failure that caught it, while every other
+adjunction line stays green.  The checks themselves are never faulted.
+
+The rows run on a slice of the catalog (monoids of size <= 3, four
+semirings), small enough that the whole table takes about a second.
+"""
+
+import dataclasses
+import re
+
+import pytest
+
+from schreierkit import (Hom, MonoidAction, SemiringAction, build_catalog,
+                         cofree_mon, cofree_mon_surjective, counit_mon,
+                         invariants_srng, restrict_action,
+                         restrict_invariant_map, suite_adjunction_mon,
+                         suite_adjunction_srng)
+from schreierkit import adjoints, suites
+from schreierkit.adjoints import _mediating_map
+from schreierkit.catalog import Catalog
+
+CAT = build_catalog()
+SLICE = Catalog(
+    monoids={n: CAT.monoids[n] for n in ("zero", "b2", "z2", "n3")},
+    semirings={n: CAT.semirings[n] for n in ("zero_rig", "bool_rig", "z2_ring", "bool_x_z2r")},
+    points={}, monoid_actions={}, semiring_actions={})
+LINES = ("cofree-adjunction[mon]", "surjective-cofree[mon]", "invariants-adjunction[srng]")
+
+
+def _verdicts():
+    checks = suite_adjunction_mon(SLICE).checks + suite_adjunction_srng(SLICE).checks
+    return {c.name: c for c in checks}
+
+
+# ---------------------------------------------------------------------------
+# wrong constructions
+
+
+def _restrict_along_zero(h, G):
+    """h*(G) as if h sent everything to 0, so that E acts trivially."""
+    return restrict_action(Hom(h.source, h.target, (0,) * h.source.size), G)
+
+
+def _counit_at_last(c):
+    """Evaluation at the last element of B instead of at 0."""
+    eps = counit_mon(c)
+    return Hom(eps.source, eps.target, tuple(u[-1] for u in c.elements))
+
+
+def _mediating_off_by_one(c, G, beta_map):
+    return tuple((i + 1) % len(c.elements) for i in _mediating_map(c, G, beta_map))
+
+
+def _cofree_with_trivial_shift(h, F, *, guard):
+    """L(B, M) whose B-action forgets the shift; counit_mon then raises."""
+    c = cofree_mon(h, F, guard=guard)
+    n = len(c.elements)
+    return dataclasses.replace(c, action=MonoidAction(
+        h.target, c.monoid, tuple(tuple(range(n)) for _ in h.target.elements)))
+
+
+def _surjective_over_unpointed(c, sect):
+    """The simplified L(B, M) over a section that moves the basepoint."""
+    h = c.h
+    moved = [e for e in h.source.elements if e != 0 and h.map[e] == 0]
+    return cofree_mon_surjective(c, (moved[0], *sect[1:]) if moved else sect)
+
+
+def _identity_restriction(inv, w):
+    return Hom(inv.algebra, inv.algebra, tuple(range(inv.algebra.size)))
+
+
+def _off_by_one_restriction(inv, w):
+    n = inv.algebra.size
+    return Hom(inv.algebra, inv.algebra,
+               tuple((i + 1) % n for i in restrict_invariant_map(inv, w).map))
+
+
+def _invariants_with_zero_action(h, F):
+    """R_h(X) with B acting by zero instead of through preimages."""
+    inv = invariants_srng(h, F)
+    B, X = inv.action.B, inv.algebra
+    return dataclasses.replace(inv, action=SemiringAction(
+        B, X, tuple((0,) * X.size for _ in B.elements),
+        tuple((0,) * B.size for _ in X.elements)))
+
+
+def _restriction_of_a_map_leaving_r_h(inv, w):
+    """R_h of a map that sends every nonzero element outside R_h(X), in place
+    of R_h(w); restrict_invariant_map then raises ComputationError."""
+    X = inv.x_action.X
+    outside = [x for x in X.elements if x not in inv.members]
+    if not outside:
+        return restrict_invariant_map(inv, w)
+    return restrict_invariant_map(inv, Hom(X, X, tuple(x and outside[0] for x in X.elements)))
+
+
+# ---------------------------------------------------------------------------
+# the table: (module, name, fault, line that goes red, what its detail shows)
+
+ROWS = {
+    "mon-cardinality": (suites, "restrict_action", _restrict_along_zero,
+                        "cofree-adjunction[mon]", r"cardinality=[1-9]"),
+    "mon-bijection": (suites, "counit_mon", _counit_at_last,
+                      "cofree-adjunction[mon]", r"bijection=[1-9]"),
+    "mon-mediating": (suites, "_mediating_map", _mediating_off_by_one,
+                      "cofree-adjunction[mon]", r"mediating=[1-9]"),
+    "mon-construction": (suites, "cofree_mon", _cofree_with_trivial_shift,
+                         "cofree-adjunction[mon]", r"construction=[1-9]"),
+    "mon-unpointed-section": (suites, "cofree_mon_surjective", _surjective_over_unpointed,
+                              "surjective-cofree[mon]", r"iso failures=[1-9]"),
+    "srng-identity-restriction": (adjoints, "restrict_invariant_map", _identity_restriction,
+                                  "invariants-adjunction[srng]", r"counit square fails"),
+    "srng-off-by-one-restriction": (adjoints, "restrict_invariant_map",
+                                    _off_by_one_restriction, "invariants-adjunction[srng]",
+                                    r"is not an equivariant endomap of R_h\(X\)"),
+    "srng-zero-induced-action": (suites, "invariants_srng", _invariants_with_zero_action,
+                                 "invariants-adjunction[srng]",
+                                 r"is not equivariant on the right|not a bijection"),
+    "srng-computation-error": (adjoints, "restrict_invariant_map",
+                               _restriction_of_a_map_leaving_r_h, "invariants-adjunction[srng]",
+                               r"failures=[1-9].*equivariant map leaves R_h\(X\)"),
+}
+
+
+def test_every_line_is_green_without_a_fault():
+    verdicts = _verdicts()
+    assert sorted(verdicts) == sorted(LINES)
+    assert all(v.ok for v in verdicts.values()), {n: v.detail for n, v in verdicts.items()}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_fault_turns_its_line_red(monkeypatch, row):
+    module, name, fault, red, detail = ROWS[row]
+    monkeypatch.setattr(module, name, fault)
+    verdicts = _verdicts()
+    assert not verdicts[red].ok
+    assert re.search(detail, verdicts[red].detail), verdicts[red].detail
+    assert all(v.ok for n, v in verdicts.items() if n != red), {
+        n: v.detail for n, v in verdicts.items()}

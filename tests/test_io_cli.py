@@ -3,6 +3,10 @@ rejection of malformed documents, exit codes, report determinism, and witness
 replay through the report command."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +421,26 @@ def test_cli_search_incomplete_sweeps_exit_nonzero(capsys):
     assert main(["search", "--goal", "SSFLFailureOffClass",
                  "--max-witnesses", "1", "--timeout", "60"]) == 1
     assert "witness cap reached" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],  # fits the stdout buffer: the pipe breaks on the flush
+    ["search", "--goal", "SSFLFailureOffClass", "--variety", "mon"],  # breaks in print
+], ids=["flush", "print"])
+def test_cli_closed_stdout_exits_one_without_traceback(argv):
+    # `schreierkit ... | head -1`, with the reader gone before the first write
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "schreierkit.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_cli_semidirect_then_action_round_trips(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unreferenced.
 
-No linter is part of the toolchain, so this test does the one check that
-refactors most often leave behind.  __init__.py is exempt: it imports names
-to re-export them.
+No linter is part of the toolchain, so these tests do the two checks that
+refactors most often leave behind.  __init__.py is exempt from the first:
+it imports names to re-export them.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schreierkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +38,47 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants whose names start with
+    one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Names that source reads, reads as attributes, or imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each private module-level name no module refers to."""
+    refs = set().union(*(references(src) for src in sources.values()))
+    return [f"{mod}:{name}" for mod, src in sorted(sources.items())
+            for name in private_definitions(src) if name not in refs]
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    sources = {"a": "_X = 1\n_Y: int = 2\ndef _f(): pass\nclass _C: pass\n__all__ = []\n_f()\n",
+               "b": "from .a import _C\nimport a\na._Y\n"}
+    assert unreferenced_private_names(sources) == ["a:_X"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_names(sources) == []
