@@ -22,8 +22,7 @@ from .algebra import (Hom, Kind, LawReport, Product, Pullback, Subset,
                       compose, enumerate_homs, find_isomorphism,
                       generated_subalgebra, generating_set, hom_candidate_count,
                       identity_hom, is_hom, make_algebra, product, pullback,
-                      require_valid, restrict_to_subalgebra, subset,
-                      validate_algebra)
+                      require_valid, subset, validate_algebra)
 from .catalog import (Catalog, build_catalog, coherence_instances,
                       export_catalog, load_catalog_dir, lookup)
 from .coherence import (CoherenceInstance, Decomposition, JseCheck,
@@ -37,8 +36,9 @@ from .errors import (ComputationError, GuardExceeded, InvalidAction,
                      ToolkitError)
 from .points import (Point, PointMorphism, SchreierStatus, SchreierWitness,
                      check_schreier, check_ssfl, enumerate_fibre_morphisms,
-                     enumerate_split_epis, fibre_product_point,
-                     identity_point, is_strong_point, kernel_algebra,
+                     enumerate_split_epis, fibre_maps, fibre_morphism,
+                     fibre_product_point, identity_point, is_strong_point,
+                     kernel_algebra, kernel_bijective,
                      kernel_restriction_bijective, points_isomorphic,
                      product_point, pullback_point, schreier_retraction,
                      ssfl_implication)

@@ -348,62 +348,47 @@ def is_hom(h: Hom) -> bool:
 # generation and enumeration
 
 
-def derivation(a: TabularAlgebra, seeds) -> dict[int, tuple]:
-    """Map each element generated by 0 and the (element, label) seeds to how it
-    first arose: ("zero",), its first seed's label, or (op_name, y, z).  Per
-    round: ops in all_tables() order, x over the last round's new elements, y
-    over those known when the round began, x op y then y op x."""
-    how: dict[int, tuple] = {0: ("zero",)}
-    for elem, label in seeds:
-        how.setdefault(elem, label)
-    frontier = list(how)
-    tables = a.all_tables()
-    while frontier:
-        fresh = []
-        members = list(how)
-        for name, t in tables:
-            for x in frontier:
-                row = t[x]
-                for y in members:
-                    z = row[y]
-                    if z not in how:
-                        how[z] = (name, x, y)
-                        fresh.append(z)
-                    z = t[y][x]
-                    if z not in how:
-                        how[z] = (name, y, x)
-                        fresh.append(z)
-        frontier = fresh
-    return how
-
-
 def mask_of(elements) -> int:
     """The int with bit x set for each x in elements."""
     return sum(1 << x for x in set(elements))
 
 
 def closure_mask(a: TabularAlgebra, mask: int) -> int:
-    """The bitmask twin of derivation: the subalgebra generated by 0 and the
-    elements whose bits are set in mask, as a mask, with no record of how."""
+    """The subalgebra generated by 0 and the elements whose bits are set in
+    mask, as a mask.  Per round: ops in all_tables() order, x over the last
+    round's new elements, y over those known when the round began, x op y
+    then y op x; pairs of older elements were combined in an earlier round."""
     mask |= 1
-    while True:
-        members = [x for x in a.elements if mask >> x & 1]
-        grown = mask | mask_of(t[x][y] for _, t in a.all_tables()
-                               for x in members for y in members)
-        if grown == mask:
-            return mask
-        mask = grown
+    frontier = members = [x for x in a.elements if mask >> x & 1]
+    tables = a.all_tables()
+    while frontier:
+        fresh = []
+        for _, t in tables:
+            for x in frontier:
+                row = t[x]
+                for y in members:
+                    z = row[y]
+                    if not mask >> z & 1:
+                        mask |= 1 << z
+                        fresh.append(z)
+                    z = t[y][x]
+                    if not mask >> z & 1:
+                        mask |= 1 << z
+                        fresh.append(z)
+        members = members + fresh
+        frontier = fresh
+    return mask
 
 
 @lru_cache(maxsize=None)
 def generating_set(a: TabularAlgebra) -> tuple[int, ...]:
     """Greedy generating set: repeatedly adjoin the least element not yet generated."""
     gens: list[int] = []
-    closed = derivation(a, ())
+    closed = closure_mask(a, 0)
     for x in a.elements:
-        if x not in closed:
+        if not closed >> x & 1:
             gens.append(x)
-            closed = derivation(a, ((g, ("gen", g)) for g in gens))
+            closed = closure_mask(a, closed | 1 << x)
     return tuple(gens)
 
 
@@ -455,7 +440,8 @@ def subset(a: TabularAlgebra, members) -> Subset:
 
 def generated_subalgebra(a: TabularAlgebra, gens) -> Subset:
     """Least subset containing gens and 0, closed under add and all extra ops."""
-    return subset(a, derivation(a, ((g, ("gen", g)) for g in gens)))
+    closed = closure_mask(a, mask_of(gens))
+    return Subset(a, tuple(x for x in a.elements if closed >> x & 1))
 
 
 def _extend_from_generators(a: TabularAlgebra, b: TabularAlgebra,
@@ -648,21 +634,6 @@ def pullback_satisfies_universal(pb: Pullback, f: Hom, g: Hom, probe: TabularAlg
         if len(mediators) != 1:
             return False
     return True
-
-
-def restrict_to_subalgebra(a: TabularAlgebra, members) -> tuple[TabularAlgebra, tuple[int, ...]]:
-    """Materialize a closed subset as an algebra of its own.
-
-    Returns (algebra, embedding) where embedding[i] is the original index of
-    element i.  Members must contain 0 and be closed under every op.
-    """
-    embed = tuple(sorted(set(members)))
-    # _subalgebra refuses a subset without 0 before any closure scan.
-    escape = first_escape(a, embed) if 0 in embed else None
-    if escape is not None:
-        name, x, y = escape
-        raise StructuralError(f"subset not closed: {x} op {y} = {a.op_table(name)[x][y]} escapes")
-    return _subalgebra(a, embed)
 
 
 def _subalgebra(a: TabularAlgebra, embed: tuple[int, ...]) -> tuple[TabularAlgebra, tuple[int, ...]]:

@@ -20,7 +20,8 @@ from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra,
                       make_algebra, product, require_valid)
 from .coherence import CoherenceInstance, jse_pairs
 from .errors import StructuralError
-from .points import Point, check_schreier, identity_point, product_point
+from .points import (Point, check_schreier, fibre_morphism, identity_point,
+                     product_point)
 
 
 def _mon(add) -> TabularAlgebra:
@@ -169,9 +170,10 @@ def export_catalog(cat: Catalog, out_dir) -> list:
     """Write every entry to out_dir as <name>.<slot>.json; returns the paths."""
     from pathlib import Path
 
-    from .serialize import save
+    from .serialize import save, writing
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     written = []
     for d, slot in ((cat.monoids, "algebra"), (cat.semirings, "algebra"),
                     (cat.points, "point"), (cat.monoid_actions, "action"),
@@ -243,8 +245,9 @@ def coherence_instances(cat: Catalog, variety: str, *,
     out = []
     for mid_name, mid in schreier.items():
         names = [name for name, p in schreier.items() if p.B == mid.B]
-        pairs = jse_pairs(mid, [schreier[name] for name in names], guard=guard)
-        for l, i, r, j, f, g in pairs:
+        sources = [schreier[name] for name in names]
+        for l, i, r, j, f, g in jse_pairs(mid, sources, guard=guard):
             name = f"{names[l]}[{i}]->{mid_name}<-{names[r]}[{j}]"
-            out.append((name, CoherenceInstance(f, g)))
+            out.append((name, CoherenceInstance(fibre_morphism(sources[l], mid, f),
+                                                fibre_morphism(sources[r], mid, g))))
     return tuple(out)

@@ -3,8 +3,9 @@
 One invocation runs one command and prints a report to stdout; --json writes
 the same report as canonical JSON.  Exit codes: 0 when every check passes (or
 a search runs to completion), 1 when a check fails (witnesses included in the
-report), 2 for usage, structural, and guard problems.  A reader that closes
-stdout early (`| head`) ends the run with exit 1 and no traceback.
+report), 2 for usage, structural, and guard problems, among them an output
+path that cannot be written.  A reader that closes stdout early (`| head`)
+ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import contextlib
 import io
 import os
 import sys
-from pathlib import Path
 
 from .actions import (MonoidAction, SemiringAction, point_to_action,
                       require_valid_action, roundtrip_point_iso,
@@ -60,12 +60,17 @@ def _strip_json(argv: list[str]) -> list[str]:
     return out
 
 
-def _finish(rep: Report, json_path: str | None) -> tuple[int, Document]:
-    doc = rep.to_dict()
-    print(rep.render_text(), end="")
+def _write_json(doc: Document, json_path: str | None) -> Document:
+    """Write doc to json_path if one was given (`save` turns a failed write
+    into exit 2), and return it."""
     if json_path:
-        Path(json_path).write_text(dumps_canonical(doc), encoding="utf-8")
-    return (0 if rep.ok else 1), doc
+        save(doc, json_path)
+    return doc
+
+
+def _finish(rep: Report, json_path: str | None) -> tuple[int, Document]:
+    print(rep.render_text(), end="")
+    return (0 if rep.ok else 1), _write_json(rep.to_dict(), json_path)
 
 
 def _load_cat(spec: str) -> Catalog:
@@ -228,7 +233,6 @@ def _cmd_search(ns, argv) -> tuple[int, Document]:
                           max_witnesses=ns.max_witnesses,
                           variety=ns.variety, seed=ns.seed)
     res = search_counterexamples(ns.goal, bounds)
-    doc = result_to_dict(res)
     print(f"goal: {res.goal} (variety {bounds.variety}, max size {bounds.max_size})")
     print(f"examined: {res.examined} instances in {res.elapsed_s:.2f}s")
     for i, w in enumerate(res.witnesses):
@@ -236,9 +240,7 @@ def _cmd_search(ns, argv) -> tuple[int, Document]:
     status = ("completed" if res.completed else
               "timed out" if res.timed_out else "witness cap reached")
     print(f"result: {status}, {len(res.witnesses)} witness(es)")
-    if ns.json:
-        Path(ns.json).write_text(dumps_canonical(doc), encoding="utf-8")
-    return (0 if res.completed else 1), doc
+    return (0 if res.completed else 1), _write_json(result_to_dict(res), ns.json)
 
 
 def _cmd_catalog(ns, argv) -> tuple[int, None]:

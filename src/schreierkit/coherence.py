@@ -6,10 +6,11 @@ notion agrees with the underlying one because the section image s(B) = f(s'(B))
 already sits inside the image of f.  A CoherenceInstance packages two fibre
 morphisms of Schreier points into a common middle point; the checks below pull
 such an instance back along a base change (or apply the kernel functor) and
-ask whether joint strong epimorphy survives.  A JseCheck records its trace
-with algebra.derivation; the sweeps that need only a verdict (jse_pairs, and
-the kernel-coherence search) close image bitmasks with algebra.closure_mask,
-and the search builds a CoherenceInstance only for a witness.
+ask whether joint strong epimorphy survives.  Every verdict comes from
+algebra.closure_mask on the seed elements, and no record of how an element
+was generated is kept.  jse_pairs sweeps the fibre morphisms into a middle
+point as map arrays (points.fibre_maps); a PointMorphism is built only for a
+CoherenceInstance the caller keeps.
 
 For semirings the positive answer rests on an explicit decomposition of
 kernel elements of the middle point into sums of products of kernel images:
@@ -22,54 +23,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
-                      closure_mask, derivation, identity_hom, mask_of, subset)
+                      closure_mask, generated_subalgebra, identity_hom,
+                      mask_of)
 from .errors import ComputationError, StructuralError
 from .points import (Point, PointMorphism, check_schreier,
-                     enumerate_fibre_morphisms, enumerate_split_epis,
-                     kernel_algebra, pullback_point, schreier_retraction)
-
-Trace = tuple[tuple[int, tuple], ...]
+                     enumerate_split_epis, fibre_maps, kernel_algebra,
+                     pullback_point, schreier_retraction)
 
 
 @dataclass(frozen=True)
 class JseCheck:
-    """Verdict of a joint-strong-epimorphy test plus a generation trace.
-
-    trace[i] = (element, how); how is ("zero",), a labelled seed like
-    ("f", x), or (op_name, y, z) with y, z previously derived elements.
-    """
+    """Verdict of a joint-strong-epimorphy test and the generated subset."""
 
     ok: bool
     generated: Subset
-    trace: Trace
 
 
-def _generate_with_trace(d: TabularAlgebra, seeds) -> JseCheck:
-    how = derivation(d, seeds)
-    gen = subset(d, how)
-    trace = tuple((e, how[e]) for e in gen)
-    return JseCheck(gen.is_all(), gen, trace)
+def _generate(d: TabularAlgebra, seeds) -> JseCheck:
+    gen = generated_subalgebra(d, seeds)
+    return JseCheck(gen.is_all(), gen)
 
 
 def jointly_strongly_epi(f: Hom, g: Hom) -> JseCheck:
     """Do the images of f and g generate their common codomain?"""
     if f.target != g.target:
         raise StructuralError("jointly_strongly_epi needs a common codomain")
-    seeds = ([(f.map[a], ("f", a)) for a in f.source.elements]
-             + [(g.map[c], ("g", c)) for c in g.source.elements])
-    return _generate_with_trace(f.target, seeds)
+    return _generate(f.target, f.map + g.map)
 
 
 def jse_pairs(middle: Point, points, *, guard: int = DEFAULT_HOM_GUARD):
     """Every jointly strongly epimorphic pair of fibre morphisms into middle.
 
     points are candidate sources over the base of middle.  Yields (l, i, r, j,
-    f, g) where f is the i-th fibre morphism points[l] -> middle and g the
-    j-th points[r] -> middle, looping over l, i, r, j; each list of fibre
-    morphisms is enumerated once, and each verdict once per union of images.
+    f, g) where f is the map array of the i-th fibre morphism points[l] ->
+    middle and g that of the j-th points[r] -> middle, looping over l, i, r,
+    j; each list of fibre maps is enumerated once, and each verdict once per
+    union of images.
     """
-    flat = [(l, i, f, mask_of(f.g.map)) for l, p in enumerate(points)
-            for i, f in enumerate(enumerate_fibre_morphisms(p, middle, guard=guard))]
+    flat = [(l, i, f, mask_of(f)) for l, p in enumerate(points)
+            for i, f in enumerate(fibre_maps(p, middle, guard=guard))]
     full = (1 << middle.A.size) - 1
     epi: dict[int, bool] = {}  # union of the two image masks -> verdict
     for l, i, f, fm in flat:
@@ -135,12 +127,7 @@ def jse_in_fibre(inst: CoherenceInstance) -> JseCheck:
     Since f s' = s, the seed s(B) is redundant; this variant exists so tests
     can confirm the fibre and underlying notions agree by computing both.
     """
-    f, g = inst.f.g, inst.g.g
-    s = inst.middle.s
-    seeds = ([(f.map[a], ("f", a)) for a in f.source.elements]
-             + [(g.map[c], ("g", c)) for c in g.source.elements]
-             + [(s.map[b], ("s", b)) for b in inst.base.elements])
-    return _generate_with_trace(inst.middle.A, seeds)
+    return _generate(inst.middle.A, inst.f.g.map + inst.g.g.map + inst.middle.s.map)
 
 
 def check_kernel_coherence(inst: CoherenceInstance) -> JseCheck:
@@ -148,9 +135,7 @@ def check_kernel_coherence(inst: CoherenceInstance) -> JseCheck:
     k_alg, k_embed = kernel_algebra(inst.middle)
     pos = {v: i for i, v in enumerate(k_embed)}
     fmap, gmap = inst.f.g.map, inst.g.g.map
-    seeds = ([(pos[fmap[x]], ("f", x)) for x in inst.H]
-             + [(pos[gmap[y]], ("g", y)) for y in inst.L])
-    return _generate_with_trace(k_alg, seeds)
+    return _generate(k_alg, [pos[fmap[x]] for x in inst.H] + [pos[gmap[y]] for y in inst.L])
 
 
 def check_coherence_along(h: Hom, inst: CoherenceInstance) -> JseCheck:

@@ -13,8 +13,8 @@ from enum import Enum
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Subset, TabularAlgebra, _subalgebra,
                       compose, check_hom, enumerate_homs, first_escape,
-                      generated_subalgebra, identity_hom, product, pullback,
-                      subset)
+                      generated_subalgebra, hom_maps, identity_hom, product,
+                      pullback, subset)
 from .errors import NotSchreier, StructuralError
 
 
@@ -225,29 +225,38 @@ class PointMorphism:
     def is_fibre(self) -> bool:
         return self.source.B == self.target.B and self.h.map == identity_hom(self.source.B).map
 
-    def kernel_restriction(self) -> dict[int, int]:
-        """g restricted to kernels (it always lands there)."""
-        return {a: self.g.map[a] for a in self.source.kernel}
+
+def fibre_maps(p1: Point, p2: Point, *,
+               guard: int = DEFAULT_HOM_GUARD) -> tuple[tuple[int, ...], ...]:
+    """The map arrays g of all morphisms p1 -> p2 over the identity of the
+    common base, in lex order: the homs g: A1 -> A2 of hom_maps with
+    f2 . g = f1 (projection square) and g . s1 = s2 (section square)."""
+    if p1.B != p2.B:
+        raise StructuralError("fibre morphisms need points over the same base")
+    f1, f2, s1, s2 = p1.f.map, p2.f.map, p1.s.map, p2.s.map
+    return tuple(g for g in hom_maps(p1.A, p2.A, guard=guard)
+                 if tuple(g[b] for b in s1) == s2 and tuple(f2[v] for v in g) == f1)
+
+
+def fibre_morphism(p1: Point, p2: Point, g: tuple[int, ...]) -> PointMorphism:
+    """The morphism p1 -> p2 over the identity of the base with total map g."""
+    return PointMorphism(p1, p2, Hom(p1.A, p2.A, g), identity_hom(p1.B))
 
 
 def enumerate_fibre_morphisms(p1: Point, p2: Point, *,
                               guard: int = DEFAULT_HOM_GUARD) -> tuple[PointMorphism, ...]:
     """All morphisms over the identity of the common base, in lex order of g."""
-    if p1.B != p2.B:
-        raise StructuralError("fibre morphisms need points over the same base")
-    idb = identity_hom(p1.B)
-    out = []
-    for g in enumerate_homs(p1.A, p2.A, guard=guard):
-        if compose(p2.f, g).map == p1.f.map and compose(g, p1.s).map == p2.s.map:
-            out.append(PointMorphism(p1, p2, g, idb))
-    return tuple(out)
+    return tuple(fibre_morphism(p1, p2, g) for g in fibre_maps(p1, p2, guard=guard))
+
+
+def kernel_bijective(p1: Point, p2: Point, g: tuple[int, ...]) -> bool:
+    """Does the total map g of a fibre morphism p1 -> p2 restrict to a
+    bijection of kernels?  (It always lands in the kernel of p2.)"""
+    return sorted(g[x] for x in p1.kernel) == list(p2.kernel.members)
 
 
 def kernel_restriction_bijective(m: PointMorphism) -> bool:
-    restriction = m.kernel_restriction()
-    values = list(restriction.values())
-    return (len(set(values)) == len(values)
-            and set(values) == set(m.target.kernel.members))
+    return kernel_bijective(m.source, m.target, m.g.map)
 
 
 def check_ssfl(m: PointMorphism) -> bool:

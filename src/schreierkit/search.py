@@ -30,8 +30,9 @@ from .algebra import (Kind, TabularAlgebra, closure_mask, make_algebra,
 from .catalog import build_catalog
 from .coherence import CoherenceInstance, check_kernel_coherence, jse_pairs
 from .errors import ComputationError, StructuralError
-from .points import (check_schreier, enumerate_fibre_morphisms,
-                     enumerate_split_epis, kernel_restriction_bijective)
+from .points import (check_schreier, enumerate_split_epis, fibre_maps,
+                     fibre_morphism, kernel_bijective,
+                     kernel_restriction_bijective)
 from .serialize import (SCHEMA_VERSION, Document, _field, dumps_canonical,
                         point_from_dict, point_morphism_from_dict,
                         point_morphism_to_dict, point_to_dict)
@@ -207,17 +208,18 @@ def _search_kernel_coherence(goal, algebras, clock, tally):
             coherent: dict[int, bool] = {}  # f(H) | g(L) -> verdict
             for l, i, r, j, f, g in jse_pairs(middle, schreier):
                 tally[0] += 1
-                for key, mor in (((l, i), f), ((r, j), g)):
+                for key, src, gmap in (((l, i), schreier[l], f), ((r, j), schreier[r], g)):
                     if key not in kimage:
-                        kimage[key] = mask_of(mor.g.map[x] for x in mor.source.kernel)
+                        kimage[key] = mask_of(gmap[x] for x in src.kernel)
                 seeds = kimage[l, i] | kimage[r, j]
                 if seeds not in coherent:
                     coherent[seeds] = closure_mask(middle.A, seeds) == kmask
                 if coherent[seeds]:
                     continue
-                inst = CoherenceInstance(f, g)
-                payload = {"f": point_morphism_to_dict(f),
-                           "g": point_morphism_to_dict(g)}
+                inst = CoherenceInstance(fibre_morphism(schreier[l], middle, f),
+                                         fibre_morphism(schreier[r], middle, g))
+                payload = {"f": point_morphism_to_dict(inst.f),
+                           "g": point_morphism_to_dict(inst.g)}
                 if check_kernel_coherence(inst).ok:
                     raise ComputationError("mask verdict fails, check_kernel_coherence "
                                            f"holds, on {dumps_canonical(payload)}")
@@ -230,14 +232,12 @@ def _search_ssfl(goal, algebras, clock, tally):
         for src in points:
             clock.tick()
             for tgt in points:
-                for m in enumerate_fibre_morphisms(src, tgt):
+                for g in fibre_maps(src, tgt):
                     tally[0] += 1
-                    kb = kernel_restriction_bijective(m)
-                    bij = m.g.is_bijective()
-                    if kb and not bij:
-                        payload = {"morphism": point_morphism_to_dict(m)}
-                        yield _witness(goal, "ssfl", payload,
-                                       _ssfl_verdict(kb, bij))
+                    if kernel_bijective(src, tgt, g) and sorted(g) != list(tgt.A.elements):
+                        payload = {"morphism": point_morphism_to_dict(
+                            fibre_morphism(src, tgt, g))}
+                        yield _witness(goal, "ssfl", payload, _ssfl_verdict(True, False))
 
 
 _GOAL_RUNNERS = {

@@ -12,6 +12,7 @@ Whatever `save` writes, `load` returns as an equal object.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .actions import MonoidAction, SemiringAction
@@ -204,11 +205,25 @@ def from_dict(doc: Document, base_dir: Path | None = None) -> Serializable | Doc
     raise StructuralError(f"unrecognized document shape with fields {sorted(keys)}")
 
 
+@contextmanager
+def writing(path):
+    """Every file write goes through here: an OSError in the block becomes a
+    StructuralError naming path, except a closed pipe (BrokenPipeError),
+    which the command line ends with exit 1 like a closed stdout."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise StructuralError(f"cannot write {path}: {exc}") from None
+
+
 def save(obj: Serializable | Document, path: str | Path) -> Path:
     doc = dict(obj) if isinstance(obj, dict) else to_dict(obj)
     doc.setdefault("schema", SCHEMA_VERSION)
     path = Path(path)
-    path.write_text(dumps_canonical(doc), encoding="utf-8")
+    with writing(path):
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
     return path
 
 

@@ -30,7 +30,7 @@ from .coherence import (check_coherence_along, check_kernel_coherence,
                         jse_in_fibre)
 from .errors import ComputationError, StructuralError
 from .points import (check_schreier, check_ssfl, enumerate_fibre_morphisms,
-                     enumerate_split_epis, fibre_product_point,
+                     enumerate_split_epis, fibre_maps, fibre_product_point,
                      is_strong_point, pullback_point)
 from .reporting import Report
 from .serialize import point_morphism_to_dict, point_to_dict
@@ -154,11 +154,8 @@ def suite_roundtrip(cat: Catalog | None = None, *,
     rep = Report(list(command), {"guard_homs": hom_guard})
     for variety, pool in (("mon", cat.monoid_actions), ("srng", cat.semiring_actions)):
         actions = sorted(pool.items())
-        bad = []
-        for name, a in actions:
-            back = point_to_action(semidirect_point(a))
-            if back != a:
-                bad.append(name)
+        sd = {name: semidirect_point(a) for name, a in actions}
+        bad = [name for name, a in actions if point_to_action(sd[name]) != a]
         rep.add(f"action-roundtrip[{variety}]", not bad,
                 f"actions={len(actions)}", None if not bad else
                 {"failing": bad})
@@ -183,9 +180,7 @@ def suite_roundtrip(cat: Catalog | None = None, *,
                     continue
                 pairs += 1
                 t = len(equivariant_homs(a1, a2, guard=hom_guard))
-                m = len(enumerate_fibre_morphisms(semidirect_point(a1),
-                                                  semidirect_point(a2),
-                                                  guard=hom_guard))
+                m = len(fibre_maps(sd[n1], sd[n2], guard=hom_guard))
                 checked += 1
                 if t != m:
                     bad.append((n1, n2, t, m))

@@ -6,11 +6,10 @@ import itertools
 
 import pytest
 
-from schreierkit import (all_sections, build_catalog, enumerate_homs,
-                         generated_subalgebra, generating_set,
-                         pointed_sections, subset)
-from schreierkit.algebra import derivation, first_escape
-from schreierkit.coherence import JseCheck, _generate_with_trace
+from schreierkit import (Hom, TabularAlgebra, all_sections, build_catalog,
+                         enumerate_homs, generated_subalgebra, generating_set,
+                         jointly_strongly_epi, pointed_sections)
+from schreierkit.algebra import closure_mask, first_escape, mask_of
 from schreierkit.search import _jt_tables, _jt_universe
 
 CAT = build_catalog()
@@ -52,26 +51,33 @@ def _generating_set(a) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _oracle_generate_with_trace(d, seeds) -> JseCheck:
+def derivation(a: TabularAlgebra, seeds) -> dict[int, tuple]:
+    """Map each element generated by 0 and the (element, label) seeds to how it
+    first arose: ("zero",), its first seed's label, or (op_name, y, z).  Per
+    round: ops in all_tables() order, x over the last round's new elements, y
+    over those known when the round began, x op y then y op x."""
     how: dict[int, tuple] = {0: ("zero",)}
     for elem, label in seeds:
         how.setdefault(elem, label)
     frontier = list(how)
-    tables = d.all_tables()
+    tables = a.all_tables()
     while frontier:
         fresh = []
         members = list(how)
         for name, t in tables:
             for x in frontier:
+                row = t[x]
                 for y in members:
-                    for z, lab in ((t[x][y], (name, x, y)), (t[y][x], (name, y, x))):
-                        if z not in how:
-                            how[z] = lab
-                            fresh.append(z)
+                    z = row[y]
+                    if z not in how:
+                        how[z] = (name, x, y)
+                        fresh.append(z)
+                    z = t[y][x]
+                    if z not in how:
+                        how[z] = (name, y, x)
+                        fresh.append(z)
         frontier = fresh
-    gen = subset(d, how)
-    trace = tuple((e, how[e]) for e in gen)
-    return JseCheck(gen.is_all(), gen, trace)
+    return how
 
 
 def _oracle_kernel_escape(a, members):
@@ -117,6 +123,11 @@ def _seed_subsets(a):
         yield from itertools.combinations(a.elements, r)
 
 
+def _onto(a, values) -> Hom:
+    """A map a -> a whose image is values, or {0} when values is empty."""
+    return Hom(a, a, tuple(values[x % len(values)] if values else 0 for x in a.elements))
+
+
 # ---------------------------------------------------------------------------
 # the comparisons
 
@@ -133,11 +144,13 @@ def test_closure_matches_the_oracles_on_every_seed_subset():
         for seed in _seed_subsets(a):
             closed = _close(a, seed)
             assert set(derivation(a, ((x, ("s",)) for x in seed))) == closed
+            assert closure_mask(a, mask_of(seed)) == mask_of(closed)
             assert generated_subalgebra(a, seed).members == tuple(sorted(closed))
-            # every seed twice under different labels: the first label wins
-            seeds = [(x, ("f", i)) for i, x in enumerate(seed)] + \
-                    [(x, ("g", x)) for x in reversed(seed)]
-            assert _generate_with_trace(a, seeds) == _oracle_generate_with_trace(a, seeds)
+            # the seed split between the images of two maps
+            half = len(seed) // 2
+            chk = jointly_strongly_epi(_onto(a, seed[:half]), _onto(a, seed[half:]))
+            assert chk.generated.members == tuple(sorted(closed))
+            assert chk.ok == (len(closed) == a.size)
 
 
 def test_first_escape_matches_the_kernel_scan():

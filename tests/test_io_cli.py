@@ -426,7 +426,10 @@ def test_cli_search_incomplete_sweeps_exit_nonzero(capsys):
 @pytest.mark.parametrize("argv", [
     ["catalog", "list"],  # fits the stdout buffer: the pipe breaks on the flush
     ["search", "--goal", "SSFLFailureOffClass", "--variety", "mon"],  # breaks in print
-], ids=["flush", "print"])
+    # breaks in the --json write, which turns every other OSError into exit 2
+    ["search", "--goal", "NonSchreier", "--variety", "jt", "--max-size", "2",
+     "--json", "/dev/stdout"],
+], ids=["flush", "print", "json-write"])
 def test_cli_closed_stdout_exits_one_without_traceback(argv):
     # `schreierkit ... | head -1`, with the reader gone before the first write
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -441,6 +444,23 @@ def test_cli_closed_stdout_exits_one_without_traceback(argv):
         os.close(w)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_cli_unwritable_output_paths_exit_two(tmp_path, capsys):
+    algebra = save(B2, tmp_path / "b2.json")
+    action = save(CAT.monoid_actions["zeroendo_b2_z2"], tmp_path / "act.json")
+    afile = tmp_path / "afile"
+    afile.write_text("keep me")
+    missing = str(tmp_path / "nodir" / "x.json")
+    for argv, path in (
+            (["validate", str(algebra), "--json", missing], missing),
+            (["search", "--goal", "NonSchreier", "--json", missing], missing),
+            (["semidirect", str(action), "--out", missing], missing),
+            (["catalog", "export", "--out", str(afile)], str(afile))):
+        assert main(argv) == 2, argv
+        assert f"StructuralError: cannot write {path}: " in capsys.readouterr().err
+    assert afile.read_text() == "keep me"
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_cli_semidirect_then_action_round_trips(tmp_path, capsys):

@@ -1,15 +1,15 @@
 """Differential tests for the bitmask fast path: closure_mask against
-derivation, jse_pairs against the per-pair jointly_strongly_epi loop it
-replaced (kept here verbatim as the oracle), and the kernel-coherence mask
-verdict of the search against check_kernel_coherence."""
+derivation (the closure routine it replaced), jse_pairs against the per-pair
+jointly_strongly_epi loop it replaced (both kept here verbatim as oracles),
+and the kernel-coherence mask verdict of the search against
+check_kernel_coherence."""
 
 import itertools
 
-from schreierkit import (CoherenceInstance, SearchBounds, build_catalog,
-                         check_kernel_coherence, check_schreier,
+from schreierkit import (CoherenceInstance, SearchBounds, TabularAlgebra,
+                         build_catalog, check_kernel_coherence, check_schreier,
                          enumerate_fibre_morphisms, jointly_strongly_epi)
-from schreierkit.algebra import (DEFAULT_HOM_GUARD, closure_mask, derivation,
-                                 mask_of)
+from schreierkit.algebra import DEFAULT_HOM_GUARD, closure_mask, mask_of
 from schreierkit.coherence import jse_pairs
 from schreierkit.search import _Clock, _jt_universe, _points_over, _universe
 
@@ -30,7 +30,36 @@ POINT_GROUPS = (_search_points("mon", 4) + _search_points("srng", 4)
 
 
 # ---------------------------------------------------------------------------
-# the oracle
+# the oracles
+
+
+def derivation(a: TabularAlgebra, seeds) -> dict[int, tuple]:
+    """Map each element generated by 0 and the (element, label) seeds to how it
+    first arose: ("zero",), its first seed's label, or (op_name, y, z).  Per
+    round: ops in all_tables() order, x over the last round's new elements, y
+    over those known when the round began, x op y then y op x."""
+    how: dict[int, tuple] = {0: ("zero",)}
+    for elem, label in seeds:
+        how.setdefault(elem, label)
+    frontier = list(how)
+    tables = a.all_tables()
+    while frontier:
+        fresh = []
+        members = list(how)
+        for name, t in tables:
+            for x in frontier:
+                row = t[x]
+                for y in members:
+                    z = row[y]
+                    if z not in how:
+                        how[z] = (name, x, y)
+                        fresh.append(z)
+                    z = t[y][x]
+                    if z not in how:
+                        how[z] = (name, y, x)
+                        fresh.append(z)
+        frontier = fresh
+    return how
 
 
 def _oracle_jse_pairs(middle, points, *, guard: int = DEFAULT_HOM_GUARD):

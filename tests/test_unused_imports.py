@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unreferenced.
+"""No module of the package imports a name it never uses, no private
+module-level name goes unreferenced, and every name the package exports is
+used somewhere.
 
-No linter is part of the toolchain, so these tests do the two checks that
+No linter is part of the toolchain, so these tests do the three checks that
 refactors most often leave behind.  __init__.py is exempt from the first:
 it imports names to re-export them.
 """
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "schreierkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "schreierkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -53,15 +55,22 @@ def private_definitions(source: str) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def references(source: str) -> set[str]:
-    """Names that source reads, reads as attributes, or imports."""
+def uses(source: str) -> set[str]:
+    """Names that source reads or reads as attributes."""
     refs = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+    return refs
+
+
+def references(source: str) -> set[str]:
+    """Names that source reads, reads as attributes, or imports."""
+    refs = uses(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
     return refs
 
@@ -82,3 +91,31 @@ def test_the_check_sees_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def exported_names(source: str) -> list[str]:
+    """The names an __init__ module imports to re-export."""
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def unused_exports(init: str, sources: list[str]) -> list[str]:
+    """Exported names that no source reads: an import or a definition alone
+    does not count as a use."""
+    used = set().union(*(uses(src) for src in sources))
+    return [name for name in exported_names(init) if name not in used]
+
+
+def test_the_check_sees_an_unused_export():
+    init = "from .a import f, g\nfrom .b import C\n"
+    sources = ["def f(): pass\ndef g(): f()\n",
+               "from schreierkit import g\nclass C: pass\nx = C\n"]
+    assert unused_exports(init, sources) == ["g"]
+
+
+def test_every_export_is_used():
+    # besides its definition and its export line, in src/, tests/ or perfbench/
+    paths = MODULES + [p for tree in ("tests", "perfbench")
+                       for p in sorted((ROOT / tree).glob("*.py"))]
+    sources = [p.read_text(encoding="utf-8") for p in paths]
+    assert unused_exports((SRC / "__init__.py").read_text(encoding="utf-8"), sources) == []
