@@ -9,6 +9,11 @@ Every Schreier point induces an action of its base on its kernel via the
 retraction q: for monoids b.x = q(s(b) + k(x)); for semirings b.x =
 q(s(b) k(x)) and x.b = q(k(x) s(b)).  The semidirect product rebuilds the
 point from the action; the two constructions are mutually inverse.
+
+Both kinds of action are read through one view, the maps X -> X the base
+acts by: act[b] for monoids, left[b] and the columns of right for semirings.
+equivariant_homs filters hom_maps by commuting with each of them, and like
+hom_maps it returns map arrays, not Hom objects.
 """
 
 from __future__ import annotations
@@ -211,8 +216,24 @@ def point_to_action(p: Point, witness: SchreierWitness | None = None) -> Action:
 # action -> point (semidirect products)
 
 
-def _sd_index(x: int, b: int, bsize: int) -> int:
-    return x * bsize + b
+def _semidirect(a: Action, kind: Kind, add, mul=None) -> Point:
+    """The semidirect product point of a (see semidirect) whose tables add
+    and mul send (x1, b1, x2, b2) to a pair (x, b), element x * |B| + b."""
+    require_valid_action(a)
+    bsize = a.B.size
+    pairs = [(x, b) for x in a.X.elements for b in a.B.elements]
+
+    def table(op):
+        return [[x * bsize + b for x, b in (op(x1, b1, x2, b2) for x2, b2 in pairs)]
+                for x1, b1 in pairs]
+
+    alg = make_algebra(kind, table(add), None if mul is None else {"mul": table(mul)})
+    rep = validate_algebra(alg)
+    if not rep.ok:
+        raise ComputationError(f"semidirect product violates {rep.first_violation()}")
+    f = Hom(alg, a.B, tuple(b for _, b in pairs))
+    s = Hom(a.B, alg, tuple(a.B.elements))  # (0, b) is element b
+    return Point(alg, a.B, f, s)
 
 
 def semidirect(a: MonoidAction) -> Point:
@@ -223,48 +244,21 @@ def semidirect(a: MonoidAction) -> Point:
     result is Schreier with retraction (x, b) |-> (x, 0); the output algebra
     is re-validated, and a validation failure is a hard (internal) failure.
     """
-    require_valid_action(a)
-    X, B, act = a.X, a.B, a.act
-    n = X.size * B.size
-    add = []
-    for x1 in X.elements:
-        for b1 in B.elements:
-            row = [_sd_index(X.add[x1][act[b1][x2]], B.add[b1][b2], B.size)
-                   for x2 in X.elements for b2 in B.elements]
-            add.append(tuple(row))
-    alg = TabularAlgebra(Kind.MONOID, n, tuple(add))
-    rep = validate_algebra(alg)
-    if not rep.ok:
-        raise ComputationError(f"semidirect product violates {rep.first_violation()}")
-    f = Hom(alg, B, tuple(b for _ in X.elements for b in B.elements))
-    s = Hom(B, alg, tuple(_sd_index(0, b, B.size) for b in B.elements))
-    return Point(alg, B, f, s)
+    xadd, badd, act = a.X.add, a.B.add, a.act
+    return _semidirect(a, Kind.MONOID,
+                       lambda x1, b1, x2, b2: (xadd[x1][act[b1][x2]], badd[b1][b2]))
 
 
 def semidirect_srng(a: SemiringAction) -> Point:
     """Semidirect product point of a semiring action: addition componentwise,
     multiplication (x1, b1)(x2, b2) = (x1 x2 + x1.b2 + b1.x2, b1 b2)."""
-    require_valid_action(a)
-    X, B = a.X, a.B
-    left, right = a.left, a.right
-    xmul, bmul = X.op_table("mul"), B.op_table("mul")
-    n = X.size * B.size
-    add, mul = [], []
-    for x1 in X.elements:
-        for b1 in B.elements:
-            add.append(tuple(_sd_index(X.add[x1][x2], B.add[b1][b2], B.size)
-                             for x2 in X.elements for b2 in B.elements))
-            mul.append(tuple(
-                _sd_index(X.add[X.add[xmul[x1][x2]][right[x1][b2]]][left[b1][x2]],
-                          bmul[b1][b2], B.size)
-                for x2 in X.elements for b2 in B.elements))
-    alg = make_algebra(Kind.SEMIRING, add, {"mul": mul})
-    rep = validate_algebra(alg)
-    if not rep.ok:
-        raise ComputationError(f"semidirect semiring violates {rep.first_violation()}")
-    f = Hom(alg, B, tuple(b for _ in X.elements for b in B.elements))
-    s = Hom(B, alg, tuple(_sd_index(0, b, B.size) for b in B.elements))
-    return Point(alg, B, f, s)
+    xadd, badd, left, right = a.X.add, a.B.add, a.left, a.right
+    xmul, bmul = a.X.op_table("mul"), a.B.op_table("mul")
+    return _semidirect(
+        a, Kind.SEMIRING,
+        lambda x1, b1, x2, b2: (xadd[x1][x2], badd[b1][b2]),
+        lambda x1, b1, x2, b2: (xadd[xadd[xmul[x1][x2]][right[x1][b2]]][left[b1][x2]],
+                                bmul[b1][b2]))
 
 
 def semidirect_point(a: Action) -> Point:
@@ -307,26 +301,27 @@ def restrict_action(h: Hom, a: Action) -> Action:
 # equivariant maps and action enumeration
 
 
+def _acting_maps(a: Action) -> tuple[tuple[int, ...], ...]:
+    """The maps X -> X the base acts by: act[b] for a monoid action; for a
+    semiring action left[b], then x |-> x.b, the columns of right."""
+    if isinstance(a, MonoidAction):
+        return a.act
+    return a.left + tuple(zip(*a.right))
+
+
 def equivariant_homs(a1: Action, a2: Action, *,
-                     guard: int = DEFAULT_HOM_GUARD) -> tuple[Hom, ...]:
-    """Homs X1 -> X2 commuting with the actions; only passing maps become Homs."""
+                     guard: int = DEFAULT_HOM_GUARD) -> tuple[tuple[int, ...], ...]:
+    """The map arrays, in hom_maps order, of the homs m: X1 -> X2 with
+    m . r1 = r2 . m for each pair (r1, r2) of _acting_maps(a1) and
+    _acting_maps(a2); a semiring's right action is read by columns."""
     if a1.B != a2.B:
         raise SignatureMismatch("equivariant homs need actions of the same base")
     if not same_signature(a1.X, a2.X):
         raise SignatureMismatch("equivariant homs need carriers of one signature")
-    maps = hom_maps(a1.X, a2.X, guard=guard)
+    squares = tuple(zip(_acting_maps(a1), _acting_maps(a2)))
     xs = a1.X.elements
-    if isinstance(a1, MonoidAction):
-        squares = tuple(zip(a1.act, a2.act))
-        keep = [m for m in maps
-                if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs)]
-    else:
-        squares = tuple(zip(a1.left, a2.left))
-        bs, right1, right2 = a1.B.elements, a1.right, a2.right
-        keep = [m for m in maps
-                if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs)
-                and all(m[right1[x][b]] == right2[m[x]][b] for x in xs for b in bs)]
-    return tuple(Hom(a1.X, a2.X, m) for m in keep)
+    return tuple(m for m in hom_maps(a1.X, a2.X, guard=guard)
+                 if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs))
 
 
 def additive_reduct(a: TabularAlgebra) -> TabularAlgebra:
@@ -375,9 +370,9 @@ def enumerate_semiring_actions(B: TabularAlgebra, X: TabularAlgebra, *,
                                guard: int = DEFAULT_HOM_GUARD) -> tuple[SemiringAction, ...]:
     """All semiring actions of B on X.
 
-    Candidates for each side are additive maps B -> End_+(X) (so the zero and
-    additivity families hold by construction); the multiplicative and mixed
-    families are filtered explicitly.
+    Candidates for each side are additive maps B -> End_+(X) compatible with
+    the multiplication of B (so the zero, additivity and mul_in_b families
+    hold by construction); validate_action decides each pair.
     """
     endp, maps = _additive_endo_monoid(X)
     badd = additive_reduct(B)
@@ -404,21 +399,5 @@ def enumerate_semiring_actions(B: TabularAlgebra, X: TabularAlgebra, *,
                for b1 in B.elements for b2 in B.elements):
             rights.append(tuple(psi))
 
-    xmul = X.op_table("mul")
-    out = []
-    for phi in lefts:
-        for psi in rights:
-            ok = all(phi[b][xmul[x1][x2]] == xmul[phi[b][x1]][x2]
-                     and psi[b][xmul[x1][x2]] == xmul[x1][psi[b][x2]]
-                     for b in B.elements for x1 in X.elements for x2 in X.elements)
-            if ok:
-                ok = all(xmul[x1][phi[b][x2]] == xmul[psi[b][x1]][x2]
-                         for x1 in X.elements for b in B.elements for x2 in X.elements)
-            if ok:
-                ok = all(psi[b2][phi[b1][x]] == phi[b1][psi[b2][x]]
-                         for b1 in B.elements for x in X.elements for b2 in B.elements)
-            if ok:
-                left = phi
-                right = tuple(tuple(psi[b][x] for b in B.elements) for x in X.elements)
-                out.append(SemiringAction(B, X, left, right))
-    return tuple(out)
+    actions = (SemiringAction(B, X, phi, tuple(zip(*psi))) for phi in lefts for psi in rights)
+    return tuple(a for a in actions if validate_action(a).ok)

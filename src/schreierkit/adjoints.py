@@ -56,7 +56,10 @@ class CofreeTable:
     elements: tuple[tuple[int, ...], ...]
     monoid: TabularAlgebra  # pointwise addition on elements
     action: MonoidAction  # shift action of B on the monoid
-    pos: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    pos: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", {u: i for i, u in enumerate(self.elements)})
 
     @property
     def M(self) -> TabularAlgebra:
@@ -103,7 +106,7 @@ def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> C
     rep = validate_action(action)
     if not rep.ok:
         raise ComputationError(f"shift action violates {rep.first_violation()}")
-    return CofreeTable(h, F, elements, monoid, action, pos)
+    return CofreeTable(h, F, elements, monoid, action)
 
 
 def counit_mon(c: CofreeTable) -> Hom:
@@ -171,8 +174,8 @@ def mediate_mon(c: CofreeTable, G: MonoidAction, beta: Hom, *,
         if c.elements[gamma.map[x]][0] != beta.map[x]:
             raise ComputationError(f"triangle identity fails at x={x}")
     mediators = [g for g in equivariant_homs(G, c.action, guard=guard)
-                 if all(c.elements[g.map[x]][0] == beta.map[x] for x in G.X.elements)]
-    if [g.map for g in mediators] != [gamma.map]:
+                 if all(c.elements[g[x]][0] == beta.map[x] for x in G.X.elements)]
+    if mediators != [gamma.map]:
         raise ComputationError(f"expected a unique mediating map, found {len(mediators)}")
     return gamma
 
@@ -274,13 +277,17 @@ def pointed_sections(h: Hom) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class InvariantSub:
     """R_h(X) for a surjective h: the elements on which h-equal scalars agree,
-    as a subalgebra of X with the induced B-action."""
+    as a subalgebra of X with the induced B-action; pos inverts members."""
 
     h: Hom
     x_action: SemiringAction
     members: tuple[int, ...]  # sorted; index i of the subalgebra is members[i]
     algebra: TabularAlgebra
     action: SemiringAction  # B acting on the subalgebra
+    pos: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", {v: i for i, v in enumerate(self.members)})
 
 
 def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
@@ -325,12 +332,11 @@ def restrict_invariant_map(inv: InvariantSub, w: Hom) -> Hom:
     """R_h on maps: restrict an equivariant w: X -> X to R_h(X)."""
     if w.source != inv.x_action.X or w.target != inv.x_action.X:
         raise StructuralError("restrict_invariant_map expects an endomap of the carrier")
-    pos = {v: i for i, v in enumerate(inv.members)}
     rows = []
     for v in inv.members:
-        if w.map[v] not in pos:
+        if w.map[v] not in inv.pos:
             raise ComputationError(f"equivariant map leaves R_h(X) at {v}")
-        rows.append(pos[w.map[v]])
+        rows.append(inv.pos[w.map[v]])
     return Hom(inv.algebra, inv.algebra, tuple(rows))
 
 
@@ -341,14 +347,14 @@ def verify_restriction_functor(inv: InvariantSub, *,
     (so R_h is a functor into B-actions) and the counit square commutes,
     members[R_h(w)(i)] = w(members[i]).  Returns the first failure, or None.
     """
-    endos = {u.map for u in equivariant_homs(inv.action, inv.action, guard=guard)}
+    endos = set(equivariant_homs(inv.action, inv.action, guard=guard))
     for w in equivariant_homs(inv.x_action, inv.x_action, guard=guard):
-        r = restrict_invariant_map(inv, w).map
+        r = restrict_invariant_map(inv, Hom(inv.x_action.X, inv.x_action.X, w)).map
         if r not in endos:
-            return f"R_h({w.map}) = {r} is not an equivariant endomap of R_h(X)"
+            return f"R_h({w}) = {r} is not an equivariant endomap of R_h(X)"
         for i, v in enumerate(inv.members):
-            if inv.members[r[i]] != w.map[v]:
-                return f"counit square fails for w={w.map} at x={v}"
+            if inv.members[r[i]] != w[v]:
+                return f"counit square fails for w={w} at x={v}"
     return None
 
 
@@ -383,13 +389,12 @@ def verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
     h = inv.h
     if G.B != h.target:
         raise StructuralError("verify_adjunction_srng: G acts by the target of h, F by its source")
-    lhs = [t.map for t in equivariant_homs(restrict_action(h, G), inv.x_action, guard=guard)]
-    rhs = {u.map for u in equivariant_homs(G, inv.action, guard=guard)}
-    pos = {v: i for i, v in enumerate(inv.members)}
+    lhs = equivariant_homs(restrict_action(h, G), inv.x_action, guard=guard)
+    rhs = set(equivariant_homs(G, inv.action, guard=guard))
     failure = None
     images = []
     for t in lhs:
-        c = tuple(pos.get(t[y]) for y in G.X.elements)
+        c = tuple(inv.pos.get(t[y]) for y in G.X.elements)
         if None in c:
             failure = f"a left-hand map escapes R_h(X): {t}"
             break

@@ -30,9 +30,8 @@ from .points import Point, PointMorphism, check_schreier
 from .reporting import Report, reports_equal_modulo_timestamp
 from .search import (GOALS, SearchBounds, replay_witness, result_to_dict,
                      search_counterexamples)
-from .serialize import (SCHEMA_VERSION, Document, dumps_canonical, load,
-                        load_action, load_hom, load_point, point_to_dict,
-                        save, to_dict)
+from .serialize import (Document, dumps_canonical, load, load_action,
+                        load_hom, load_point, point_to_dict, save, tagged)
 from .suites import (suite_adjunction_mon, suite_adjunction_srng,
                      suite_coherence, suite_protomodularity, suite_ring_base,
                      suite_ssfl)
@@ -253,9 +252,7 @@ def _cmd_catalog(ns, argv) -> tuple[int, None]:
             for name in sorted(d):
                 print(f"{slot:16} {name}")
     elif ns.sub == "show":
-        doc = to_dict(lookup(cat, ns.name))
-        doc.setdefault("schema", SCHEMA_VERSION)
-        print(dumps_canonical(doc), end="")
+        print(dumps_canonical(tagged(lookup(cat, ns.name))), end="")
     else:
         for path in export_catalog(cat, ns.out):
             print(path)

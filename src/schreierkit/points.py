@@ -285,14 +285,11 @@ def ssfl_implication(m: PointMorphism) -> bool:
 def enumerate_split_epis(A: TabularAlgebra, B: TabularAlgebra, *,
                          guard: int = DEFAULT_HOM_GUARD) -> tuple[Point, ...]:
     """Every point (f, s) with f: A -> B, ordered by (f, s) map arrays."""
-    out = []
-    sections = enumerate_homs(B, A, guard=guard)
+    sections = hom_maps(B, A, guard=guard)
     identity = tuple(range(B.size))
-    for f in enumerate_homs(A, B, guard=guard):
-        for s in sections:
-            if tuple(f.map[v] for v in s.map) == identity:
-                out.append(Point(A, B, f, s))
-    return tuple(out)
+    return tuple(Point(A, B, Hom(A, B, f), Hom(B, A, s))
+                 for f in hom_maps(A, B, guard=guard) for s in sections
+                 if tuple(f[v] for v in s) == identity)
 
 
 def points_isomorphic(p1: Point, p2: Point, *,

@@ -103,22 +103,26 @@ def _jt_tables(n: int, unit: bool):
         yield rows
 
 
-def _jt_universe(max_size: int) -> list[TabularAlgebra]:
+def _jt_universe(max_size: int, clock: _Clock) -> list[TabularAlgebra]:
+    """The jt universe up to max_size; the clock ticks once per addition
+    table, so the search deadline bounds its generation too."""
     out = []
     for n in range(1, max_size + 1):
         for add in _jt_tables(n, unit=True):
+            clock.tick()
             out.append(make_algebra(Kind.JT_GENERIC, add))
     for n in range(1, min(max_size, JT_MUL_SIZE_CAP) + 1):
         for add in _jt_tables(n, unit=True):
+            clock.tick()
             for mul in _jt_tables(n, unit=False):
                 out.append(make_algebra(Kind.JT_GENERIC, add,
                                         {"mul": mul}, {"mul": ["absorb"]}))
     return out
 
 
-def _universe(bounds: SearchBounds) -> list[TabularAlgebra]:
+def _universe(bounds: SearchBounds, clock: _Clock) -> list[TabularAlgebra]:
     if bounds.variety == "jt":
-        algebras = _jt_universe(bounds.max_size)
+        algebras = _jt_universe(bounds.max_size, clock)
     else:
         cat = build_catalog()
         pool = cat.algebras(bounds.variety)
@@ -257,13 +261,13 @@ def search_counterexamples(goal: str, bounds: SearchBounds = SearchBounds()
     """
     if goal not in GOALS:
         raise StructuralError(f"unknown goal {goal!r}, expected one of {GOALS}")
-    algebras = _universe(bounds)
     clock = _Clock(bounds.timeout_s)
     tally = [0]
     found: dict[str, Document] = {}
     timed_out = False
     truncated = False
     try:
+        algebras = _universe(bounds, clock)
         for doc in _GOAL_RUNNERS[goal](goal, algebras, clock, tally):
             key = dumps_canonical(doc)
             if key not in found and len(found) >= bounds.max_witnesses:

@@ -1,9 +1,10 @@
 """JSON files for algebras, homs, points, actions, and search witnesses.
 
-Documents are plain JSON objects.  Saved files carry "schema": 1; loaders
-accept a missing schema field and reject any other version.  Algebras may be
-embedded inline or referenced by a path string (resolved relative to the
-referencing file), so a point file can share one algebra file between runs.
+Documents are plain JSON objects.  Saved files carry a "type" tag and
+"schema": 1; loaders accept a missing schema field and reject any other
+version.  Algebras may be embedded inline or referenced by a path string
+(resolved relative to the referencing file), so a point file can share one
+algebra file between runs.
 
 Serialization is canonical: sorted keys, two-space indent, trailing newline.
 Whatever `save` writes, `load` returns as an equal object.
@@ -168,41 +169,56 @@ def point_morphism_from_dict(doc: Document, base_dir: Path | None = None) -> Poi
 
 Serializable = TabularAlgebra | Hom | Point | MonoidAction | SemiringAction | PointMorphism
 
-_TO_DICT = (
-    (TabularAlgebra, algebra_to_dict),
-    (Hom, hom_to_dict),
-    (Point, point_to_dict),
-    ((MonoidAction, SemiringAction), action_to_dict),
-    (PointMorphism, point_morphism_to_dict),
-)
+# tag -> (types, to_dict, from_dict, the fields an untagged document of the type
+# holds), in the order from_dict tries the field sets of an untagged document.
+_FORMATS = {
+    "point": (Point, point_to_dict, point_from_dict, {"A", "B", "f", "s"}),
+    "point_morphism": (PointMorphism, point_morphism_to_dict, point_morphism_from_dict,
+                       {"source", "target", "g", "h"}),
+    "hom": (Hom, hom_to_dict, hom_from_dict, {"source", "target", "map"}),
+    "action": ((MonoidAction, SemiringAction), action_to_dict, action_from_dict, {"B", "X"}),
+    "algebra": (TabularAlgebra, algebra_to_dict, algebra_from_dict, {"kind", "size", "add"}),
+}
+_PASSTHROUGH = ("witness", "report", "search_result")
 
 
-def to_dict(obj: Serializable) -> Document:
-    for types, fn in _TO_DICT:
+def _tag(obj: Serializable) -> str:
+    for tag, (types, _, _, _) in _FORMATS.items():
         if isinstance(obj, types):
-            return fn(obj)
+            return tag
     raise StructuralError(f"cannot serialize {type(obj).__name__}")
 
 
+def to_dict(obj: Serializable) -> Document:
+    """obj's fields, untagged: the form embedded in witnesses and reports."""
+    return _FORMATS[_tag(obj)][1](obj)
+
+
+def tagged(obj: Serializable | Document) -> Document:
+    """The document `save` writes: an object's fields under a top-level
+    "type" tag, or a copy of a document; either way with "schema" set."""
+    doc = dict(obj) if isinstance(obj, dict) else {"type": _tag(obj), **to_dict(obj)}
+    doc.setdefault("schema", SCHEMA_VERSION)
+    return doc
+
+
 def from_dict(doc: Document, base_dir: Path | None = None) -> Serializable | Document:
-    """Dispatch on the document's fields; witness and report documents pass through."""
+    """Dispatch on the "type" tag, or on the fields of an untagged (older)
+    document; witness and report documents pass through."""
     if not isinstance(doc, dict):
         raise StructuralError("expected a JSON object at the top level")
-    if doc.get("type") in ("witness", "report", "search_result"):
-        _check_schema(doc, doc["type"])
+    tag = doc.get("type")
+    if tag in _PASSTHROUGH:
+        _check_schema(doc, tag)
         return doc
-    keys = set(doc)
-    if {"A", "B", "f", "s"} <= keys:
-        return point_from_dict(doc, base_dir)
-    if {"source", "target", "g", "h"} <= keys:
-        return point_morphism_from_dict(doc, base_dir)
-    if {"source", "target", "map"} <= keys:
-        return hom_from_dict(doc, base_dir)
-    if {"B", "X"} <= keys and ("act" in keys or "left" in keys):
-        return action_from_dict(doc, base_dir)
-    if {"kind", "size", "add"} <= keys:
-        return algebra_from_dict(doc, base_dir)
-    raise StructuralError(f"unrecognized document shape with fields {sorted(keys)}")
+    if tag is None:
+        keys = set(doc)
+        tag = next((t for t, (*_, fields) in _FORMATS.items() if fields <= keys), None)
+        if tag is None:
+            raise StructuralError(f"unrecognized document shape with fields {sorted(keys)}")
+    elif not isinstance(tag, str) or tag not in _FORMATS:
+        raise StructuralError(f"unknown document type {tag!r}")
+    return _FORMATS[tag][2](doc, base_dir)
 
 
 @contextmanager
@@ -219,11 +235,9 @@ def writing(path):
 
 
 def save(obj: Serializable | Document, path: str | Path) -> Path:
-    doc = dict(obj) if isinstance(obj, dict) else to_dict(obj)
-    doc.setdefault("schema", SCHEMA_VERSION)
     path = Path(path)
     with writing(path):
-        path.write_text(dumps_canonical(doc), encoding="utf-8")
+        path.write_text(dumps_canonical(tagged(obj)), encoding="utf-8")
     return path
 
 

@@ -190,21 +190,21 @@ def suite_roundtrip(cat: Catalog | None = None, *,
     return rep
 
 
-def _mon_triple_failure(c, eps, G, hom_guard: int) -> tuple[str, str] | None:
+def _mon_triple_failure(c, eps, G, restricted, hom_guard: int) -> tuple[str, str] | None:
     """(counter, message) for the first check of one (h, F, G) that fails,
-    given c = L(B, M) for (h, F) and its counit eps."""
-    lhs = equivariant_homs(restrict_action(c.h, G), c.m_action, guard=hom_guard)
+    given c = L(B, M) for (h, F), its counit eps and restricted = h*(G)."""
+    lhs = equivariant_homs(restricted, c.m_action, guard=hom_guard)
     rhs = equivariant_homs(G, c.action, guard=hom_guard)
     if len(lhs) != len(rhs):
         return "cardinality", f"hom-set sizes {len(lhs)} != {len(rhs)}"
     composed = {}
     for gamma in rhs:
-        composed.setdefault(tuple(eps.map[v] for v in gamma.map), []).append(gamma.map)
-    if set(composed) != {t.map for t in lhs} or any(len(v) != 1 for v in composed.values()):
+        composed.setdefault(tuple(eps.map[v] for v in gamma), []).append(gamma)
+    if set(composed) != set(lhs) or any(len(v) != 1 for v in composed.values()):
         return "bijection", "counit composition is not a bijection onto the hom-set"
     for beta in lhs:
         try:
-            if _mediating_map(c, G, beta.map) != composed[beta.map][0]:
+            if _mediating_map(c, G, beta) != composed[beta][0]:
                 return "mediating", "mediating formula disagrees with the enumerated inverse"
         except ComputationError as exc:
             return "mediating", str(exc)
@@ -251,6 +251,7 @@ def suite_adjunction_mon(cat: Catalog | None = None, *,
     for _, E in _sized(cat.monoids, ADJUNCTION_SOURCE_MAX):
         for _, B in _sized(cat.monoids, ADJUNCTION_BASE_MAX):
             for h in enumerate_homs(E, B, guard=hom_guard):
+                restricted = [restrict_action(h, G) for G in actions_on(B)]  # h*(G), for every F
                 for F in actions_on(E):
                     triples += len(actions_on(B))
                     try:
@@ -260,8 +261,8 @@ def suite_adjunction_mon(cat: Catalog | None = None, *,
                         bad["construction"] += len(actions_on(B))
                         first_failure = first_failure or str(exc)
                         continue
-                    for G in actions_on(B):
-                        failed = _mon_triple_failure(c, eps, G, hom_guard)
+                    for G, hG in zip(actions_on(B), restricted):
+                        failed = _mon_triple_failure(c, eps, G, hG, hom_guard)
                         if failed is not None:
                             bad[failed[0]] += 1
                             first_failure = first_failure or failed[1]

@@ -248,8 +248,8 @@ def test_equivariant_homs_match_fibre_morphisms():
 
 
 def _equivariant_oracle(a1, a2):
-    """Brute force: every hom X1 -> X2, kept when it commutes with each
-    action entry."""
+    """Brute force: the map of every hom X1 -> X2, kept when it commutes
+    with each action entry."""
     out = []
     for h in enumerate_homs(a1.X, a2.X):
         if isinstance(a1, MonoidAction):
@@ -261,7 +261,7 @@ def _equivariant_oracle(a1, a2):
                   and all(h.map[a1.right[x][b]] == a2.right[h.map[x]][b]
                           for x in a1.X.elements for b in a1.B.elements))
         if ok:
-            out.append(h)
+            out.append(h.map)
     return tuple(out)
 
 

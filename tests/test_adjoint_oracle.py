@@ -47,6 +47,11 @@ class OracleReport:
 # the oracle
 
 
+def _equivariant(a1, a2, *, guard: int = DEFAULT_HOM_GUARD) -> tuple[Hom, ...]:
+    """equivariant_homs as the oracle read it: Hom objects, not map arrays."""
+    return tuple(Hom(a1.X, a2.X, m) for m in equivariant_homs(a1, a2, guard=guard))
+
+
 def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
                                    guard: int = DEFAULT_HOM_GUARD,
                                    bijection_only: bool = False) -> OracleReport:
@@ -54,8 +59,8 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
     if G.B != h.target or F.B != h.source:
         raise StructuralError("verify_adjunction_srng: G acts by the target of h, F by its source")
     restricted = restrict_action(h, G)
-    lhs = equivariant_homs(restricted, F, guard=guard)
-    rhs = equivariant_homs(G, inv.action, guard=guard)
+    lhs = _equivariant(restricted, F, guard=guard)
+    rhs = _equivariant(G, inv.action, guard=guard)
     pos = {v: i for i, v in enumerate(inv.members)}
 
     def corestrict(t: Hom) -> tuple[int, ...] | None:
@@ -86,7 +91,7 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
 
     naturality_ok = True
     if bijection_ok and not bijection_only:
-        endos_f = equivariant_homs(F, F, guard=guard)
+        endos_f = _equivariant(F, F, guard=guard)
         restricted = {}  # w.map -> R_h(w), filled in the order the loop reaches w
         for w in endos_f:
             rw = restricted[w.map] = restrict_invariant_map(inv, w)
@@ -100,7 +105,7 @@ def _oracle_verify_adjunction_srng(inv: InvariantSub, G: SemiringAction, *,
             if not naturality_ok:
                 break
         if naturality_ok:
-            for v in equivariant_homs(G, G, guard=guard):
+            for v in _equivariant(G, G, guard=guard):
                 for t in lhs:
                     if corestrict(compose(t, v)) != tuple(
                             corestrict(t)[v.map[y]] for y in G.X.elements):
@@ -250,7 +255,7 @@ def test_wrong_restriction_is_flagged_per_h_f(monkeypatch, fault, branch):
     # (h, F) where the oracle flagged it.
     changed = {id(inv) for inv in INVS
                if any(fault(inv, w).map != RESTRICT(inv, w).map
-                      for w in equivariant_homs(inv.x_action, inv.x_action))}
+                      for w in _equivariant(inv.x_action, inv.x_action))}
     assert changed
     monkeypatch.setattr(adjoints, "restrict_invariant_map", fault)
     flagged = set()

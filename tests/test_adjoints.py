@@ -86,9 +86,8 @@ def test_mediate_triangle_and_uniqueness():
         for G in enumerate_monoid_actions(B2, Z2):
             restricted = restrict_action(h, G)
             for beta in equivariant_homs(restricted, F):
-                gamma = mediate_mon(c, G, beta)  # also checks uniqueness
-                assert all(eps.map[gamma.map[x]] == beta.map[x]
-                           for x in G.X.elements)
+                gamma = mediate_mon(c, G, Hom(G.X, F.X, beta))  # also checks uniqueness
+                assert all(eps.map[gamma.map[x]] == beta[x] for x in G.X.elements)
 
 
 def test_mediate_rejects_non_equivariant_beta():

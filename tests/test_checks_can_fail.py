@@ -1,25 +1,28 @@
-"""Every adjunction verdict line can fail.
+"""Every adjunction and action/point roundtrip verdict line can fail.
 
 A check that no fault can turn red certifies nothing.  Each row of the
 table below puts one wrong construction in place of the right one, at the
-module-level name the suite calls, and asserts that its line goes red,
-naming the counter or the failure that caught it, while every other
-adjunction line stays green.  The checks themselves are never faulted.
+module-level name the suite calls, and asserts that the lines it names go
+red, each naming the counter or the failure that caught it, while every
+other line stays green.  The checks themselves are never faulted.
 
-The rows run on a slice of the catalog (monoids of size <= 3, four
-semirings), small enough that the whole table takes about a second.
+The adjunction rows run on a slice of the catalog (monoids of size <= 3,
+four semirings), small enough that the whole table takes about a second;
+suite_roundtrip runs on the whole catalog.
 """
 
 import dataclasses
+import json
 import re
 
 import pytest
 
 from schreierkit import (Hom, MonoidAction, SemiringAction, build_catalog,
                          cofree_mon, cofree_mon_surjective, counit_mon,
-                         invariants_srng, restrict_action,
-                         restrict_invariant_map, suite_adjunction_mon,
-                         suite_adjunction_srng)
+                         equivariant_homs, invariants_srng, point_to_action,
+                         restrict_action, restrict_invariant_map,
+                         semidirect_point, suite_adjunction_mon,
+                         suite_adjunction_srng, suite_roundtrip)
 from schreierkit import adjoints, suites
 from schreierkit.adjoints import _mediating_map
 from schreierkit.catalog import Catalog
@@ -29,16 +32,34 @@ SLICE = Catalog(
     monoids={n: CAT.monoids[n] for n in ("zero", "b2", "z2", "n3")},
     semirings={n: CAT.semirings[n] for n in ("zero_rig", "bool_rig", "z2_ring", "bool_x_z2r")},
     points={}, monoid_actions={}, semiring_actions={})
-LINES = ("cofree-adjunction[mon]", "surjective-cofree[mon]", "invariants-adjunction[srng]")
+LINES = ("cofree-adjunction[mon]", "surjective-cofree[mon]", "invariants-adjunction[srng]",
+         *(f"{line}[{variety}]" for variety in ("mon", "srng")
+           for line in ("action-roundtrip", "point-roundtrip", "homset-cardinalities")))
 
 
 def _verdicts():
-    checks = suite_adjunction_mon(SLICE).checks + suite_adjunction_srng(SLICE).checks
+    checks = (suite_adjunction_mon(SLICE).checks + suite_adjunction_srng(SLICE).checks
+              + suite_roundtrip(CAT).checks)
     return {c.name: c for c in checks}
+
+
+def _shows(check) -> str:
+    """What a red line shows: its detail and its witness."""
+    return f"{check.detail} {json.dumps(check.witness, sort_keys=True)}"
 
 
 # ---------------------------------------------------------------------------
 # wrong constructions
+
+
+def _trivial(a):
+    """The action of a's base on a's carrier by identities (monoids) or by
+    zero (semirings)."""
+    X, B = a.X, a.B
+    if isinstance(a, MonoidAction):
+        return MonoidAction(B, X, tuple(tuple(X.elements) for _ in B.elements))
+    return SemiringAction(B, X, tuple((0,) * X.size for _ in B.elements),
+                          tuple((0,) * B.size for _ in X.elements))
 
 
 def _restrict_along_zero(h, G):
@@ -84,10 +105,7 @@ def _off_by_one_restriction(inv, w):
 def _invariants_with_zero_action(h, F):
     """R_h(X) with B acting by zero instead of through preimages."""
     inv = invariants_srng(h, F)
-    B, X = inv.action.B, inv.algebra
-    return dataclasses.replace(inv, action=SemiringAction(
-        B, X, tuple((0,) * X.size for _ in B.elements),
-        tuple((0,) * B.size for _ in X.elements)))
+    return dataclasses.replace(inv, action=_trivial(inv.action))
 
 
 def _restriction_of_a_map_leaving_r_h(inv, w):
@@ -100,31 +118,76 @@ def _restriction_of_a_map_leaving_r_h(inv, w):
     return restrict_invariant_map(inv, Hom(X, X, tuple(x and outside[0] for x in X.elements)))
 
 
+def _semidirect_of_trivial(kind):
+    """The semidirect point of another action, the trivial one, for actions of kind."""
+    def fault(a):
+        return semidirect_point(_trivial(a) if isinstance(a, kind) else a)
+    return fault
+
+
+def _extracted_trivial(kind):
+    """point_to_action answering the trivial action for actions of kind."""
+    def fault(p):
+        a = point_to_action(p)
+        return _trivial(a) if isinstance(a, kind) else a
+    return fault
+
+
+def _equivariant_without_last(kind):
+    """equivariant_homs dropping its last map for actions of kind."""
+    def fault(a1, a2, *, guard):
+        maps = equivariant_homs(a1, a2, guard=guard)
+        return maps[:-1] if isinstance(a1, kind) else maps
+    return fault
+
+
 # ---------------------------------------------------------------------------
-# the table: (module, name, fault, line that goes red, what its detail shows)
+# the table: (module, name, fault, {line that goes red: what it shows})
 
 ROWS = {
     "mon-cardinality": (suites, "restrict_action", _restrict_along_zero,
-                        "cofree-adjunction[mon]", r"cardinality=[1-9]"),
+                        {"cofree-adjunction[mon]": r"cardinality=[1-9]"}),
     "mon-bijection": (suites, "counit_mon", _counit_at_last,
-                      "cofree-adjunction[mon]", r"bijection=[1-9]"),
+                      {"cofree-adjunction[mon]": r"bijection=[1-9]"}),
     "mon-mediating": (suites, "_mediating_map", _mediating_off_by_one,
-                      "cofree-adjunction[mon]", r"mediating=[1-9]"),
+                      {"cofree-adjunction[mon]": r"mediating=[1-9]"}),
     "mon-construction": (suites, "cofree_mon", _cofree_with_trivial_shift,
-                         "cofree-adjunction[mon]", r"construction=[1-9]"),
+                         {"cofree-adjunction[mon]": r"construction=[1-9]"}),
     "mon-unpointed-section": (suites, "cofree_mon_surjective", _surjective_over_unpointed,
-                              "surjective-cofree[mon]", r"iso failures=[1-9]"),
+                              {"surjective-cofree[mon]": r"iso failures=[1-9]"}),
     "srng-identity-restriction": (adjoints, "restrict_invariant_map", _identity_restriction,
-                                  "invariants-adjunction[srng]", r"counit square fails"),
-    "srng-off-by-one-restriction": (adjoints, "restrict_invariant_map",
-                                    _off_by_one_restriction, "invariants-adjunction[srng]",
-                                    r"is not an equivariant endomap of R_h\(X\)"),
-    "srng-zero-induced-action": (suites, "invariants_srng", _invariants_with_zero_action,
-                                 "invariants-adjunction[srng]",
-                                 r"is not equivariant on the right|not a bijection"),
-    "srng-computation-error": (adjoints, "restrict_invariant_map",
-                               _restriction_of_a_map_leaving_r_h, "invariants-adjunction[srng]",
-                               r"failures=[1-9].*equivariant map leaves R_h\(X\)"),
+                                  {"invariants-adjunction[srng]": r"counit square fails"}),
+    "srng-off-by-one-restriction": (
+        adjoints, "restrict_invariant_map", _off_by_one_restriction,
+        {"invariants-adjunction[srng]": r"is not an equivariant endomap of R_h\(X\)"}),
+    "srng-zero-induced-action": (
+        suites, "invariants_srng", _invariants_with_zero_action,
+        {"invariants-adjunction[srng]": r"is not equivariant on the right|not a bijection"}),
+    "srng-computation-error": (
+        adjoints, "restrict_invariant_map", _restriction_of_a_map_leaving_r_h,
+        {"invariants-adjunction[srng]": r"failures=[1-9].*equivariant map leaves R_h\(X\)"}),
+    # suite_roundtrip shares its semidirect points between its action and
+    # hom-set lines, so a wrong semidirect point turns both red.
+    "mon-semidirect-of-another-action": (
+        suites, "semidirect_point", _semidirect_of_trivial(MonoidAction),
+        {"action-roundtrip[mon]": r"failing.*annih_n3_b2",
+         "homset-cardinalities[mon]": r"failing"}),
+    "srng-semidirect-of-another-action": (
+        suites, "semidirect_point", _semidirect_of_trivial(SemiringAction),
+        {"action-roundtrip[srng]": r"failing.*mul_bool_bool",
+         "homset-cardinalities[srng]": r"failing"}),
+    "mon-wrong-extracted-action": (
+        suites, "point_to_action", _extracted_trivial(MonoidAction),
+        {"action-roundtrip[mon]": r"failing.*annih_n3_b2"}),
+    "srng-wrong-extracted-action": (
+        suites, "point_to_action", _extracted_trivial(SemiringAction),
+        {"action-roundtrip[srng]": r"failing.*mul_bool_bool"}),
+    "mon-equivariant-drops-a-map": (
+        suites, "equivariant_homs", _equivariant_without_last(MonoidAction),
+        {"homset-cardinalities[mon]": r"failing"}),
+    "srng-equivariant-drops-a-map": (
+        suites, "equivariant_homs", _equivariant_without_last(SemiringAction),
+        {"homset-cardinalities[srng]": r"failing"}),
 }
 
 
@@ -136,10 +199,11 @@ def test_every_line_is_green_without_a_fault():
 
 @pytest.mark.parametrize("row", ROWS)
 def test_fault_turns_its_line_red(monkeypatch, row):
-    module, name, fault, red, detail = ROWS[row]
+    module, name, fault, red = ROWS[row]
     monkeypatch.setattr(module, name, fault)
     verdicts = _verdicts()
-    assert not verdicts[red].ok
-    assert re.search(detail, verdicts[red].detail), verdicts[red].detail
-    assert all(v.ok for n, v in verdicts.items() if n != red), {
-        n: v.detail for n, v in verdicts.items()}
+    for line, shows in red.items():
+        assert not verdicts[line].ok, line
+        assert re.search(shows, _shows(verdicts[line])), _shows(verdicts[line])
+    assert all(v.ok for n, v in verdicts.items() if n not in red), {
+        n: _shows(v) for n, v in verdicts.items()}

@@ -10,12 +10,12 @@ from schreierkit import (Hom, TabularAlgebra, all_sections, build_catalog,
                          enumerate_homs, generated_subalgebra, generating_set,
                          jointly_strongly_epi, pointed_sections)
 from schreierkit.algebra import closure_mask, first_escape, mask_of
-from schreierkit.search import _jt_tables, _jt_universe
+from schreierkit.search import _Clock, _jt_tables, _jt_universe
 
 CAT = build_catalog()
 CATALOG_ALGEBRAS = [a for _, a in sorted(CAT.monoids.items())] + \
                    [a for _, a in sorted(CAT.semirings.items())]
-ALGEBRAS = CATALOG_ALGEBRAS + _jt_universe(3)
+ALGEBRAS = CATALOG_ALGEBRAS + _jt_universe(3, _Clock(60))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ ring-base Schreier guarantee, and the bounded counterexample search."""
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -412,6 +413,16 @@ def test_search_timeout_is_reported():
     res = search_counterexamples("NonSchreier",
                                  SearchBounds(variety="jt", max_size=3,
                                               timeout_s=0.05))
+    assert res.timed_out and not res.completed
+
+
+def test_search_timeout_bounds_universe_generation():
+    # The jt universe at size 4 holds 262,233 algebras and takes seconds to
+    # build; the deadline must cut the build short, not start after it.
+    start = time.monotonic()
+    res = search_counterexamples("NonSchreier",
+                                 SearchBounds(variety="jt", max_size=4, timeout_s=0.2))
+    assert time.monotonic() - start < 2
     assert res.timed_out and not res.completed
 
 

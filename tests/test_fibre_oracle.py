@@ -18,8 +18,9 @@ CAT = build_catalog()
 
 def _search_points(variety: str, max_size: int) -> list:
     """The points the search sweeps, one list per base."""
+    clock = _Clock(60)
     bounds = SearchBounds(max_size=max_size, variety=variety)
-    return list(_points_over(_universe(bounds), _Clock(60)))
+    return list(_points_over(_universe(bounds, clock), clock))
 
 
 # The catalog's points, and those of the mon and srng searches at size 4

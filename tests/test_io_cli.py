@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from schreierkit import (Hom, Kind, MonoidAction, Point, PointMorphism,
-                         StructuralError, TabularAlgebra, build_catalog,
+                         SemiringAction, StructuralError, TabularAlgebra,
+                         build_catalog,
                          dumps_canonical, from_dict, identity_hom, load,
                          load_action, load_algebra, load_hom, load_point,
                          make_algebra, reports_equal_modulo_timestamp, save,
@@ -45,6 +46,10 @@ def _samples():
     ]
 
 
+TAGS = {TabularAlgebra: "algebra", Hom: "hom", Point: "point", MonoidAction: "action",
+        SemiringAction: "action", PointMorphism: "point_morphism"}
+
+
 @pytest.mark.parametrize("obj", _samples(), ids=lambda o: type(o).__name__)
 def test_save_load_identity(tmp_path, obj):
     path = save(obj, tmp_path / "obj.json")
@@ -53,6 +58,26 @@ def test_save_load_identity(tmp_path, obj):
     text = path.read_text()
     assert text == dumps_canonical(json.loads(text))
     assert json.loads(text)["schema"] == SCHEMA_VERSION
+    assert json.loads(text)["type"] == TAGS[type(obj)]
+
+
+@pytest.mark.parametrize("obj", _samples(), ids=lambda o: type(o).__name__)
+def test_untagged_files_still_load(tmp_path, obj):
+    # files written before the "type" tag carry only the object's fields
+    path = tmp_path / "legacy.json"
+    path.write_text(dumps_canonical({"schema": 1, **to_dict(obj)}))
+    assert load(path) == obj
+
+
+@pytest.mark.parametrize("obj", _samples(), ids=lambda o: type(o).__name__)
+def test_cli_contradicting_tag_exits_two(tmp_path, capsys, obj):
+    for tag in ("algebra", "hom", "point", "action", "point_morphism", "graph", 7):
+        if tag == TAGS[type(obj)]:
+            continue
+        path = tmp_path / "tagged.json"
+        path.write_text(dumps_canonical({**to_dict(obj), "type": tag}))
+        assert main(["validate", str(path)]) == 2, tag
+        assert capsys.readouterr().err.startswith("StructuralError:")
 
 
 def test_dict_round_trip_without_files():
@@ -200,6 +225,7 @@ def test_cli_catalog_show(capsys):
     assert main(["catalog", "show", "z2_ring"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "semiring" and doc["schema"] == SCHEMA_VERSION
+    assert doc["type"] == "algebra"
     assert main(["catalog", "show", "no_such_thing"]) == 2
     assert "StructuralError" in capsys.readouterr().err
 

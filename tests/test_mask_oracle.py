@@ -20,8 +20,9 @@ CATALOG_ALGEBRAS = [a for _, a in sorted(CAT.monoids.items())] + \
 
 def _search_points(variety: str, max_size: int) -> list:
     """The points the search sweeps, one list per base."""
+    clock = _Clock(60)
     bounds = SearchBounds(max_size=max_size, variety=variety)
-    return list(_points_over(_universe(bounds), _Clock(60)))
+    return list(_points_over(_universe(bounds, clock), clock))
 
 
 # Catalog mon and srng, and jt of size <= 2.
@@ -76,7 +77,7 @@ def _oracle_jse_pairs(middle, points, *, guard: int = DEFAULT_HOM_GUARD):
 
 
 def test_closure_mask_matches_derivation_on_every_seed_mask():
-    algebras = CATALOG_ALGEBRAS + _jt_universe(3)
+    algebras = CATALOG_ALGEBRAS + _jt_universe(3, _Clock(60))
     masks = 0
     for a in algebras:
         for mask in range(1 << a.size):

@@ -5,8 +5,8 @@ read their arguments by position and parameter name; perfbench/child.py
 checks that the hom caches start cold.  A refactor that renames any of these
 breaks every benchmark pass, so this test pins them.  It reads tracer.py
 without writing anything under perfbench/.  One untraced pass each of
-the sweep-replay and jt-coherence workloads also runs end to end, checked
-against the oracle the benchmark uses.
+the sweep-replay, jt-coherence and jt4-deadline workloads also runs end to
+end, checked against the oracle the benchmark uses.
 """
 
 import ast
@@ -111,4 +111,11 @@ def test_one_sweep_replay_pass_matches_the_oracle(tmp_path):
 
 def test_one_jt_coherence_pass_matches_the_oracle(tmp_path):
     result = _one_pass(tmp_path, "jt-coherence")
+    assert result["failed"] == 0 and result["attempted"] == 1
+
+
+def test_one_jt4_deadline_pass_matches_the_oracle(tmp_path):
+    # the oracle checks the exit code, the "timed out" status and that every
+    # witness replays
+    result = _one_pass(tmp_path, "jt4-deadline")
     assert result["failed"] == 0 and result["attempted"] == 1

@@ -127,6 +127,7 @@ DOC_KEYS = ("A", "B", "f", "s", "source", "target", "map", "kind", "size",
             "add", "ops", "laws", "X", "act", "left", "right", "type", "schema")
 DOC_WORDS = ("monoid", "cmon", "semiring", "jt", "witness", "report",
              "search_result", "add", "mul")
+DOC_TAGS = ("algebra", "hom", "point", "action", "point_morphism")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats()
@@ -135,8 +136,11 @@ json_values = st.recursive(
                    | st.dictionaries(st.sampled_from(DOC_KEYS) | st.text(max_size=3),
                                      inner, max_size=6)),
     max_leaves=24)
-documents = json_values | st.dictionaries(st.sampled_from(DOC_KEYS), json_values,
-                                          min_size=2, max_size=8)
+fields = st.dictionaries(st.sampled_from(DOC_KEYS), json_values, min_size=2, max_size=8)
+# a "type" tag, right or wrong, on arbitrary fields or on a real object's fields
+tagged = st.builds(lambda tag, doc: {**doc, "type": tag}, st.sampled_from(DOC_TAGS),
+                   fields | jt_tables(with_mul=True).map(to_dict))
+documents = json_values | fields | tagged
 
 
 @given(documents)
