@@ -28,9 +28,9 @@ from .catalog import (Catalog, build_catalog, coherence_instances,
 from .coherence import (CoherenceInstance, Decomposition, JseCheck,
                         RingBaseReport, check_coherence_along,
                         check_kernel_coherence, check_ring_base_schreier,
-                        decompose_kernel_word, decompose_product_element,
-                        evaluate_tree, is_additive_group,
-                        jointly_strongly_epi, jse_in_fibre)
+                        decompose_kernel_word, evaluate_tree,
+                        is_additive_group, jointly_strongly_epi,
+                        jse_in_fibre)
 from .errors import (ComputationError, GuardExceeded, InvalidAction,
                      NotSchreier, SignatureMismatch, StructuralError,
                      ToolkitError)

@@ -18,6 +18,7 @@ hom_maps it returns map arrays, not Hom objects.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra, Table,
@@ -90,10 +91,9 @@ class ActionReport:
         return None
 
 
-def _first(pred_iter):
-    for w in pred_iter:
-        return w
-    return None
+def _first(*families):
+    """The first witness of the first family that has one, or None."""
+    return next(itertools.chain(*families), None)
 
 
 def validate_action(a: Action) -> ActionReport:
@@ -133,11 +133,10 @@ def _validate_semiring_action(a: SemiringAction) -> ActionReport:
     bs, xs = B.elements, X.elements
     entries = [
         AxiomEntry("zero", *_wrap(_first(
-            w for w in (
-                [( "0.x", x) for x in xs if left[0][x] != 0]
-                + [("x.0", x) for x in xs if right[x][0] != 0]
-                + [("b.0", b) for b in bs if left[b][0] != 0]
-                + [("0.b", b) for b in bs if right[0][b] != 0])))),
+            (("0.x", x) for x in xs if left[0][x] != 0),
+            (("x.0", x) for x in xs if right[x][0] != 0),
+            (("b.0", b) for b in bs if left[b][0] != 0),
+            (("0.b", b) for b in bs if right[0][b] != 0)))),
         AxiomEntry("add_in_x_left", *_wrap(_first(
             (b, x1, x2) for b in bs for x1 in xs for x2 in xs
             if left[b][xadd[x1][x2]] != xadd[left[b][x1]][left[b][x2]]))),
@@ -152,25 +151,22 @@ def _validate_semiring_action(a: SemiringAction) -> ActionReport:
             if right[x][badd[b1][b2]] != xadd[right[x][b1]][right[x][b2]]))),
         # b.(x1 x2) = (b.x1) x2 and (x1 x2).b = x1 (x2.b)
         AxiomEntry("mul_in_x", *_wrap(_first(
-            w for w in (
-                [(b, x1, x2) for b in bs for x1 in xs for x2 in xs
-                 if left[b][xmul[x1][x2]] != xmul[left[b][x1]][x2]]
-                + [(x1, x2, b) for x1 in xs for x2 in xs for b in bs
-                   if right[xmul[x1][x2]][b] != xmul[x1][right[x2][b]]])))),
+            ((b, x1, x2) for b in bs for x1 in xs for x2 in xs
+             if left[b][xmul[x1][x2]] != xmul[left[b][x1]][x2]),
+            ((x1, x2, b) for x1 in xs for x2 in xs for b in bs
+             if right[xmul[x1][x2]][b] != xmul[x1][right[x2][b]])))),
         # (b1 b2).x = b1.(b2.x) and x.(b1 b2) = (x.b1).b2
         AxiomEntry("mul_in_b", *_wrap(_first(
-            w for w in (
-                [(b1, b2, x) for b1 in bs for b2 in bs for x in xs
-                 if left[bmul[b1][b2]][x] != left[b1][left[b2][x]]]
-                + [(x, b1, b2) for x in xs for b1 in bs for b2 in bs
-                   if right[right[x][b1]][b2] != right[x][bmul[b1][b2]]])))),
+            ((b1, b2, x) for b1 in bs for b2 in bs for x in xs
+             if left[bmul[b1][b2]][x] != left[b1][left[b2][x]]),
+            ((x, b1, b2) for x in xs for b1 in bs for b2 in bs
+             if right[right[x][b1]][b2] != right[x][bmul[b1][b2]])))),
         # x1 (b.x2) = (x1.b) x2 and (b1.x).b2 = b1.(x.b2)
         AxiomEntry("mixed", *_wrap(_first(
-            w for w in (
-                [(x1, b, x2) for x1 in xs for b in bs for x2 in xs
-                 if xmul[x1][left[b][x2]] != xmul[right[x1][b]][x2]]
-                + [(b1, x, b2) for b1 in bs for x in xs for b2 in bs
-                   if right[left[b1][x]][b2] != left[b1][right[x][b2]]])))),
+            ((x1, b, x2) for x1 in xs for b in bs for x2 in xs
+             if xmul[x1][left[b][x2]] != xmul[right[x1][b]][x2]),
+            ((b1, x, b2) for b1 in bs for x in xs for b2 in bs
+             if right[left[b1][x]][b2] != left[b1][right[x][b2]])))),
     ]
     return ActionReport(a, tuple(entries))
 

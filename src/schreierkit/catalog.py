@@ -53,6 +53,11 @@ class Catalog:
         kinds = MONOID_KINDS if variety == "mon" else (Kind.SEMIRING,)
         return {name: p for name, p in self.points.items() if p.A.kind in kinds}
 
+    def schreier_points(self, variety: str) -> list[tuple[str, Point]]:
+        """The Schreier points of one variety, in name order."""
+        return [(name, p) for name, p in sorted(self.points_of(variety).items())
+                if check_schreier(p).is_schreier]
+
     def all_algebras(self) -> dict[str, TabularAlgebra]:
         return {**self.monoids, **self.semirings}
 
@@ -239,9 +244,7 @@ def coherence_instances(cat: Catalog, variety: str, *,
     middle between Schreier catalog points over one base, with f and g
     jointly strongly epimorphic.
     """
-    points = cat.points_of(variety)
-    schreier = {name: p for name, p in sorted(points.items())
-                if check_schreier(p).is_schreier}
+    schreier = dict(cat.schreier_points(variety))
     out = []
     for mid_name, mid in schreier.items():
         names = [name for name, p in schreier.items() if p.B == mid.B]

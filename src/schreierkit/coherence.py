@@ -12,23 +12,27 @@ was generated is kept.  jse_pairs sweeps the fibre morphisms into a middle
 point as map arrays (points.fibre_maps); a PointMorphism is built only for a
 CoherenceInstance the caller keeps.
 
+check_coherence_along takes the three pullbacks along h from its caller, so
+a sweep whose instances share points builds each pullback once per (h, point).
+
 For semirings the positive answer rests on an explicit decomposition of
 kernel elements of the middle point into sums of products of kernel images:
-decompose_product_element and decompose_kernel_word build that expression
-tree and check every rewrite step by evaluation.
+decompose_kernel_word builds that expression tree and checks every rewrite
+step by evaluation.  The product identity for f(a)g(c) and g(c)f(a) is the
+case of the mixed two-letter word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
                       closure_mask, generated_subalgebra, identity_hom,
                       mask_of)
 from .errors import ComputationError, StructuralError
-from .points import (Point, PointMorphism, check_schreier,
+from .points import (Point, PointMorphism, PulledBackPoint, check_schreier,
                      enumerate_split_epis, fibre_maps, kernel_algebra,
-                     pullback_point, schreier_retraction)
+                     schreier_retraction)
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,23 @@ class CoherenceInstance:
     """Two fibre morphisms of Schreier points into a common middle point.
 
     f: (A, p', s') -> (D, p, s) and g: (C, p'', s'') -> (D, p, s), all over
-    the same base B.  H, K, L name the kernels of p', p, p''.
+    the same base B.  H, K, L name the kernels of p', p, p''.  retractions
+    holds the Schreier retractions q' and q'' of the left and right points.
     """
 
     f: PointMorphism
     g: PointMorphism
+    retractions: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.f.is_fibre and self.g.is_fibre):
             raise StructuralError("coherence instances are built from fibre morphisms")
         if self.f.target != self.g.target:
             raise StructuralError("f and g must share the middle point")
-        for p in (self.f.source, self.f.target, self.g.source):
-            schreier_retraction(p)
+        q_left, _, q_right = (schreier_retraction(p)
+                              for p in (self.left, self.middle, self.right))
+        object.__setattr__(self, "retractions", (q_left, q_right))
 
     @property
     def left(self) -> Point:
@@ -138,19 +146,21 @@ def check_kernel_coherence(inst: CoherenceInstance) -> JseCheck:
     return _generate(k_alg, [pos[fmap[x]] for x in inst.H] + [pos[gmap[y]] for y in inst.L])
 
 
-def check_coherence_along(h: Hom, inst: CoherenceInstance) -> JseCheck:
+def check_coherence_along(h: Hom, inst: CoherenceInstance,
+                          pulled_left: PulledBackPoint,
+                          pulled_middle: PulledBackPoint,
+                          pulled_right: PulledBackPoint) -> JseCheck:
     """Pull the instance back along h: E -> B and re-test joint strong epimorphy.
 
-    Rejects instances whose pair is not jointly strongly epimorphic to begin
-    with: preservation is only meaningful for pairs that have the property.
+    pulled_left, pulled_middle and pulled_right are pullback_point(h, p) for
+    the left, middle and right points of inst.  Rejects instances whose pair
+    is not jointly strongly epimorphic to begin with: preservation is only
+    meaningful for pairs that have the property.
     """
     if h.target != inst.base:
         raise StructuralError("check_coherence_along: h must land in the base")
     if not jointly_strongly_epi(inst.f.g, inst.g.g).ok:
         raise StructuralError("the pair is not jointly strongly epimorphic over the base")
-    pulled_left = pullback_point(h, inst.left)
-    pulled_middle = pullback_point(h, inst.middle)
-    pulled_right = pullback_point(h, inst.right)
     middle_index = {pair: i for i, pair in enumerate(pulled_middle.pairs)}
 
     def transport(pulled_src, total_map) -> Hom:
@@ -237,24 +247,6 @@ def _certify(inst: CoherenceInstance, value: int, tree, vanishing) -> Decomposit
     return Decomposition(inst, value, tree, tuple(vanishing))
 
 
-def decompose_product_element(inst: CoherenceInstance, a: int, c: int,
-                              order: str = "fg") -> Decomposition:
-    """Decompose f(a)g(c) (order "fg") or g(c)f(a) (order "gf") over f(H), g(L).
-
-    Requires p(f(a) g(c)) = 0.  Writing a = h + s'(b1) and c = l + s''(b2),
-    the product expands to f(h)g(l) + f(h s'(b2)) + g(s''(b1) l), the fourth
-    summand s(b1 b2) vanishing because b1 b2 = p(f(a)g(c)) = 0.  This is
-    decompose_kernel_word on the two-letter word, which checks membership of
-    the corrected leaves in the kernels, the identity, and the vanishing by
-    evaluation.
-    """
-    _require_semiring(inst)
-    if order not in ("fg", "gf"):
-        raise StructuralError(f"unknown order {order!r}")
-    f, g = ("f", a), ("g", c)
-    return decompose_kernel_word(inst, (f, g) if order == "fg" else (g, f))
-
-
 def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     """Decompose a product of letters f(a_i), g(c_i) lying in the kernel K.
 
@@ -287,8 +279,7 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     if inst.middle.f.map[k] != 0:
         raise StructuralError("hypothesis fails: the word does not land in the kernel")
 
-    # the retractions are needed only for a word the hypothesis admits
-    q = {"f": schreier_retraction(inst.left), "g": schreier_retraction(inst.right)}
+    q = dict(zip("fg", inst.retractions))
     letters = [(v, (tag, q[tag][x]), sides[tag][0].f.map[x])
                for v, (tag, x) in zip(values, word)]
 

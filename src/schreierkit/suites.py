@@ -26,8 +26,7 @@ from .algebra import DEFAULT_HOM_GUARD, TabularAlgebra, enumerate_homs
 from .catalog import Catalog, build_catalog, coherence_instances
 from .coherence import (check_coherence_along, check_kernel_coherence,
                         check_ring_base_schreier, decompose_kernel_word,
-                        decompose_product_element, jointly_strongly_epi,
-                        jse_in_fibre)
+                        jointly_strongly_epi, jse_in_fibre)
 from .errors import ComputationError, StructuralError
 from .points import (check_schreier, check_ssfl, enumerate_fibre_morphisms,
                      enumerate_split_epis, fibre_maps, fibre_product_point,
@@ -50,11 +49,6 @@ RING_BASE_MAX_SIZE = 8
 
 def _sized(d: dict[str, TabularAlgebra], max_size: int):
     return [(n, a) for n, a in sorted(d.items()) if a.size <= max_size]
-
-
-def _schreier_points(cat: Catalog, variety: str):
-    return [(n, p) for n, p in sorted(cat.points_of(variety).items())
-            if check_schreier(p).is_schreier]
 
 
 def _action_pool(carriers, enumerate_actions, guard: int):
@@ -90,7 +84,7 @@ def suite_protomodularity(cat: Catalog | None = None, *,
                 f"split epis={checked}, schreier={schreier}",
                 point_to_dict(bad[0]) if bad else None)
 
-        points = _schreier_points(cat, variety)
+        points = cat.schreier_points(variety)
         pulled = 0
         bad = []
         for _, p in points:
@@ -128,7 +122,7 @@ def suite_ssfl(cat: Catalog | None = None, *,
     cat = cat or build_catalog()
     rep = Report(list(command), {"guard_homs": hom_guard})
     for variety in VARIETIES:
-        points = _schreier_points(cat, variety)
+        points = cat.schreier_points(variety)
         checked = 0
         bad = []
         for _, p1 in points:
@@ -160,7 +154,7 @@ def suite_roundtrip(cat: Catalog | None = None, *,
                 f"actions={len(actions)}", None if not bad else
                 {"failing": bad})
 
-        points = _schreier_points(cat, variety)
+        points = cat.schreier_points(variety)
         bad = []
         for name, p in points:
             try:
@@ -352,12 +346,20 @@ def suite_adjunction_srng(cat: Catalog | None = None, *,
     return rep
 
 
+def _product_witness(failure) -> tuple:
+    """(name, a, c, order) of the product f(a)g(c) or g(c)f(a) that a failing
+    mixed two-letter word spells."""
+    name, ((t1, x1), (_, x2)) = failure
+    return (name, x1, x2, "fg") if t1 == "f" else (name, x2, x1, "gf")
+
+
 def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
                     hom_guard: int = DEFAULT_HOM_GUARD,
                     command=("verify", "coherence")) -> Report:
     """Kernel coherence and coherence along every enumerated change of base,
-    on every catalog coherence instance; for semirings, the product and word
-    decompositions with their vanishing certificates on all valid inputs."""
+    on every catalog coherence instance; for semirings, the word
+    decompositions with their vanishing certificates on all valid inputs,
+    the product line counting the mixed two-letter words among them."""
     cat = cat or build_catalog()
     rep = Report(list(command),
                  {"variety": variety or "both", "along_max": COHERENCE_ALONG_MAX,
@@ -381,13 +383,15 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
                 None if not bad else {"failing": bad})
 
         algebras = _sized(cat.algebras(var), COHERENCE_ALONG_MAX)
+        pulled_back = functools.cache(pullback_point)  # once per (h, point)
         pulled = 0
         bad = []
         for name, inst in instances:
             for _, E in algebras:
                 for h in enumerate_homs(E, inst.base, guard=hom_guard):
                     pulled += 1
-                    if not check_coherence_along(h, inst).ok:
+                    legs = (pulled_back(h, p) for p in (inst.left, inst.middle, inst.right))
+                    if not check_coherence_along(h, inst, *legs).ok:
                         bad.append((name, h.map))
         rep.add(f"coherence-along[{var}]", not bad,
                 f"pullbacks={pulled} over {len(instances)} instances",
@@ -395,43 +399,33 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
 
         if var != "srng":
             continue
-        decomposed = skipped = 0
-        bad = []
-        for name, inst in instances:
-            A, C = inst.f.source.A, inst.g.source.A
-            for a in A.elements:
-                for c in C.elements:
-                    for order in ("fg", "gf"):
-                        try:
-                            decompose_product_element(inst, a, c, order=order)
-                        except StructuralError:
-                            skipped += 1
-                        except ComputationError as exc:
-                            bad.append((name, a, c, order, str(exc)))
-                        else:
-                            decomposed += 1
-        rep.add("decompose-product[srng]", not bad,
-                f"decomposed={decomposed}, outside hypothesis={skipped}",
-                None if not bad else {"failing": bad[0][:4], "error": bad[0][4]})
-
-        decomposed = skipped = 0
-        bad = []
+        counts = {"product": [0, 0], "words": [0, 0]}  # decomposed, outside hypothesis
+        bad = {"product": [], "words": []}
         for name, inst in instances:
             A, C = inst.f.source.A, inst.g.source.A
             alphabet = [("f", a) for a in A.elements] + [("g", c) for c in C.elements]
             for n in range(1, COHERENCE_WORD_MAX + 1):
                 for word in itertools.product(alphabet, repeat=n):
+                    # f(a)g(c) is the mixed word (f a, g c), and g(c)f(a) is (g c, f a)
+                    mixed = n == 2 and word[0][0] != word[1][0]
+                    lines = ("product", "words") if mixed else ("words",)
                     try:
                         decompose_kernel_word(inst, word)
-                    except StructuralError:
-                        skipped += 1
                     except ComputationError as exc:
-                        bad.append((name, word, str(exc)))
+                        for line in lines:
+                            bad[line].append((name, word, str(exc)))
+                        continue
+                    except StructuralError:
+                        outcome = 1
                     else:
-                        decomposed += 1
-        rep.add("decompose-words[srng]", not bad,
-                f"decomposed={decomposed}, outside hypothesis={skipped}",
-                None if not bad else {"failing": str(bad[0][:2]), "error": bad[0][2]})
+                        outcome = 0
+                    for line in lines:
+                        counts[line][outcome] += 1
+        for line, witness in (("product", _product_witness), ("words", str)):
+            rep.add(f"decompose-{line}[srng]", not bad[line],
+                    "decomposed={}, outside hypothesis={}".format(*counts[line]),
+                    None if not bad[line] else
+                    {"failing": witness(bad[line][0][:2]), "error": bad[line][0][2]})
     return rep
 
 

@@ -1,4 +1,5 @@
-"""Every adjunction and action/point roundtrip verdict line can fail.
+"""Every adjunction, action/point roundtrip, coherence-along and
+decomposition verdict line can fail.
 
 A check that no fault can turn red certifies nothing.  Each row of the
 table below puts one wrong construction in place of the right one, at the
@@ -8,24 +9,31 @@ other line stays green.  The checks themselves are never faulted.
 
 The adjunction rows run on a slice of the catalog (monoids of size <= 3,
 four semirings), small enough that the whole table takes about a second;
-suite_roundtrip runs on the whole catalog.
+suite_roundtrip runs on the whole catalog.  The coherence rows run
+suite_coherence on a second slice: two points and three algebras of each
+variety.
 """
 
+import copy
 import dataclasses
 import json
 import re
 
 import pytest
 
-from schreierkit import (Hom, MonoidAction, SemiringAction, build_catalog,
-                         cofree_mon, cofree_mon_surjective, counit_mon,
-                         equivariant_homs, invariants_srng, point_to_action,
+from schreierkit import (Hom, Kind, MonoidAction, Point, SemiringAction,
+                         build_catalog, check_coherence_along, cofree_mon,
+                         cofree_mon_surjective, counit_mon,
+                         decompose_kernel_word, equivariant_homs,
+                         invariants_srng, point_to_action, product,
                          restrict_action, restrict_invariant_map,
                          semidirect_point, suite_adjunction_mon,
-                         suite_adjunction_srng, suite_roundtrip)
-from schreierkit import adjoints, suites
+                         suite_adjunction_srng, suite_coherence,
+                         suite_roundtrip)
+from schreierkit import adjoints, coherence, suites
 from schreierkit.adjoints import _mediating_map
 from schreierkit.catalog import Catalog
+from schreierkit.points import PulledBackPoint
 
 CAT = build_catalog()
 SLICE = Catalog(
@@ -37,10 +45,25 @@ LINES = ("cofree-adjunction[mon]", "surjective-cofree[mon]", "invariants-adjunct
            for line in ("action-roundtrip", "point-roundtrip", "homset-cardinalities")))
 
 
+COHERENCE_SLICE = Catalog(
+    monoids={n: CAT.monoids[n] for n in ("zero", "b2", "z2")},
+    semirings={n: CAT.semirings[n] for n in ("zero_rig", "bool_rig", "z2_ring")},
+    points={n: CAT.points[n] for n in ("id_b2", "prod_b2_z2", "id_z2ring", "sd_mul_z2r")},
+    monoid_actions={}, semiring_actions={})
+COHERENCE_LINES = (*(f"{line}[{variety}]" for variety in ("mon", "srng")
+                     for line in ("catalog-instances", "kernel-coherence",
+                                  "fibre-jse-agreement", "coherence-along")),
+                   "decompose-product[srng]", "decompose-words[srng]")
+
+
 def _verdicts():
     checks = (suite_adjunction_mon(SLICE).checks + suite_adjunction_srng(SLICE).checks
               + suite_roundtrip(CAT).checks)
     return {c.name: c for c in checks}
+
+
+def _coherence_verdicts():
+    return {c.name: c for c in suite_coherence(COHERENCE_SLICE).checks}
 
 
 def _shows(check) -> str:
@@ -141,6 +164,50 @@ def _equivariant_without_last(kind):
     return fault
 
 
+def _pulled_over_all_pairs(h, p):
+    """h*(p) on all of A x E, not only on the pairs over a common point of B."""
+    E = h.source
+    pr = product(p.A, E)
+    s = Hom(E, pr.algebra, tuple(p.s.map[h.map[e]] * E.size + e for e in E.elements))
+    pairs = tuple((a, e) for a in p.A.elements for e in E.elements)
+    return PulledBackPoint(Point(pr.algebra, E, pr.proj2, s), pairs, pr.proj1)
+
+
+def _along_a_middle_over_all_pairs(kind):
+    """check_coherence_along handed that wrong pulled-back middle point, for
+    instances over a base of kind."""
+    def fault(h, inst, left, middle, right):
+        if inst.base.kind is kind:
+            middle = _pulled_over_all_pairs(h, inst.middle)
+        return check_coherence_along(h, inst, left, middle, right)
+    return fault
+
+
+def _zero_retraction(p):
+    """The retraction of a point whose every element lay in the section image."""
+    return (0,) * p.A.size
+
+
+def _holding_zero_retractions(inst):
+    wrong = copy.copy(inst)
+    object.__setattr__(wrong, "retractions", (_zero_retraction(inst.left),
+                                              _zero_retraction(inst.right)))
+    return wrong
+
+
+def _mixed_pairs_with_zero_retractions(inst, word):
+    """decompose_kernel_word on an instance holding wrong retractions, for
+    the mixed two-letter words f(a)g(c) and g(c)f(a) only."""
+    if len(word) == 2 and word[0][0] != word[1][0]:
+        inst = _holding_zero_retractions(inst)
+    return decompose_kernel_word(inst, word)
+
+
+# the first failing word as the decompose-words witness shows it
+ONE_LETTER = r"\(\('[fg]', \d+\),\)\)"
+MIXED_PAIR = r"\(\('f', \d+\), \('g', \d+\)\)\)|\(\('g', \d+\), \('f', \d+\)\)\)"
+
+
 # ---------------------------------------------------------------------------
 # the table: (module, name, fault, {line that goes red: what it shows})
 
@@ -191,9 +258,46 @@ ROWS = {
 }
 
 
+COHERENCE_ROWS = {
+    "mon-pulled-middle-over-all-pairs": (
+        suites, "check_coherence_along", _along_a_middle_over_all_pairs(Kind.MONOID),
+        {"coherence-along[mon]": r'"failing": "id_b2.*"h": \['}),
+    "srng-pulled-middle-over-all-pairs": (
+        suites, "check_coherence_along", _along_a_middle_over_all_pairs(Kind.SEMIRING),
+        {"coherence-along[srng]": r'"failing": "id_z2ring.*"h": \['}),
+    # the instance holds wrong retractions: every word with a letter off the
+    # section image fails, the first a one-letter word
+    "srng-instance-holds-wrong-retractions": (
+        coherence, "schreier_retraction", _zero_retraction,
+        {"decompose-product[srng]": r"Schreier split fails",
+         "decompose-words[srng]": ONE_LETTER}),
+    # only the mixed two-letter words fail: 54 of the 150 the product line
+    # reads from the word sweep, and the same 54 of the 2946 words
+    "srng-wrong-retractions-for-products": (
+        suites, "decompose_kernel_word", _mixed_pairs_with_zero_retractions,
+        {"decompose-product[srng]":
+             r'decomposed=96, .*"failing": \[".*", \d+, \d+, "(fg|gf)"\]',
+         "decompose-words[srng]": rf"decomposed=2892, .*({MIXED_PAIR})"}),
+}
+
+
+def _assert_red_exactly(verdicts, red):
+    for line, shows in red.items():
+        assert not verdicts[line].ok, line
+        assert re.search(shows, _shows(verdicts[line])), _shows(verdicts[line])
+    assert all(v.ok for n, v in verdicts.items() if n not in red), {
+        n: _shows(v) for n, v in verdicts.items()}
+
+
 def test_every_line_is_green_without_a_fault():
     verdicts = _verdicts()
     assert sorted(verdicts) == sorted(LINES)
+    assert all(v.ok for v in verdicts.values()), {n: v.detail for n, v in verdicts.items()}
+
+
+def test_every_coherence_line_is_green_without_a_fault():
+    verdicts = _coherence_verdicts()
+    assert sorted(verdicts) == sorted(COHERENCE_LINES)
     assert all(v.ok for v in verdicts.values()), {n: v.detail for n, v in verdicts.items()}
 
 
@@ -201,9 +305,11 @@ def test_every_line_is_green_without_a_fault():
 def test_fault_turns_its_line_red(monkeypatch, row):
     module, name, fault, red = ROWS[row]
     monkeypatch.setattr(module, name, fault)
-    verdicts = _verdicts()
-    for line, shows in red.items():
-        assert not verdicts[line].ok, line
-        assert re.search(shows, _shows(verdicts[line])), _shows(verdicts[line])
-    assert all(v.ok for n, v in verdicts.items() if n not in red), {
-        n: _shows(v) for n, v in verdicts.items()}
+    _assert_red_exactly(_verdicts(), red)
+
+
+@pytest.mark.parametrize("row", COHERENCE_ROWS)
+def test_fault_turns_its_coherence_line_red(monkeypatch, row):
+    module, name, fault, red = COHERENCE_ROWS[row]
+    monkeypatch.setattr(module, name, fault)
+    _assert_red_exactly(_coherence_verdicts(), red)

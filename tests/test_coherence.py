@@ -14,11 +14,12 @@ from schreierkit import (CoherenceInstance, ComputationError, Hom, NotSchreier,
                          check_coherence_along, check_kernel_coherence,
                          check_ring_base_schreier, check_schreier,
                          coherence_instances, decompose_kernel_word,
-                         decompose_product_element, dumps_canonical,
-                         evaluate_tree, identity_hom, is_additive_group,
-                         jointly_strongly_epi, jse_in_fibre, kernel_algebra,
-                         replay_witness, search_counterexamples)
-from schreierkit import points, search
+                         dumps_canonical, evaluate_tree, identity_hom,
+                         is_additive_group, jointly_strongly_epi,
+                         jse_in_fibre, kernel_algebra, pullback_point,
+                         replay_witness, schreier_retraction,
+                         search_counterexamples)
+from schreierkit import coherence, points, search
 from schreierkit.serialize import point_morphism_to_dict, point_to_dict
 
 CAT = build_catalog()
@@ -138,9 +139,18 @@ def test_instance_shape_rejections():
 # coherence along change of base
 
 
+def _legs(h, inst):
+    """The instance's left, middle and right points pulled back along h."""
+    return [pullback_point(h, p) for p in (inst.left, inst.middle, inst.right)]
+
+
+def _along(h, inst):
+    return check_coherence_along(h, inst, *_legs(h, inst))
+
+
 def test_coherence_along_identity_matches_the_plain_check():
     for _, inst in (*MON_INSTANCES, *SRNG_INSTANCES):
-        chk = check_coherence_along(identity_hom(inst.base), inst)
+        chk = _along(identity_hom(inst.base), inst)
         assert chk.ok == jointly_strongly_epi(inst.f.g, inst.g.g).ok
 
 
@@ -151,7 +161,7 @@ def test_coherence_along_zero_hom_is_the_kernel_statement():
         zero = CAT.algebras(variety)["zero" if variety == "mon" else "zero_rig"]
         for name, inst in instances:
             h0 = Hom(zero, inst.base, (0,))
-            assert (check_coherence_along(h0, inst).ok
+            assert (_along(h0, inst).ok
                     == check_kernel_coherence(inst).ok), name
 
 
@@ -159,27 +169,34 @@ def test_coherence_along_rejects_wrong_target():
     _, inst = MON_INSTANCES[0]
     z2 = CAT.monoids["z2"]
     if inst.base != z2:
-        with pytest.raises(StructuralError):
-            check_coherence_along(identity_hom(z2), inst)
+        legs = _legs(identity_hom(inst.base), inst)
+        with pytest.raises(StructuralError, match="h must land in the base"):
+            check_coherence_along(identity_hom(z2), inst, *legs)
 
 
 def test_coherence_along_rejects_non_jse_pairs():
     inst = _section_pair_instance()
-    with pytest.raises(StructuralError):
-        check_coherence_along(identity_hom(B2), inst)
+    legs = _legs(identity_hom(B2), inst)
+    with pytest.raises(StructuralError, match="not jointly strongly epimorphic"):
+        check_coherence_along(identity_hom(B2), inst, *legs)
 
 
 # ---------------------------------------------------------------------------
 # semiring decomposition identities
 
 # the identity pair over the semidirect point of z2_ring acting on itself:
-# kernel K = {0, 2}, base = z2_ring
+# kernel K = {0, 2}, base = z2_ring.  The product f(a)g(c) is the word
+# (f a, g c), and g(c)f(a) is (g c, f a).
 
 
 def _identity_instance(point_name):
     mid = CAT.points[point_name]
     m = PointMorphism(mid, mid, identity_hom(mid.A), identity_hom(mid.B))
     return CoherenceInstance(m, m)
+
+
+def _product_word(a, c, order="fg"):
+    return (("f", a), ("g", c)) if order == "fg" else (("g", c), ("f", a))
 
 
 def test_product_decomposition_all_valid_pairs_both_orders():
@@ -194,9 +211,9 @@ def test_product_decomposition_all_valid_pairs_both_orders():
                 k = mul[a][c] if order == "fg" else mul[c][a]
                 if inst.middle.f.map[k] != 0:
                     with pytest.raises(StructuralError):
-                        decompose_product_element(inst, a, c, order)
+                        decompose_kernel_word(inst, _product_word(a, c, order))
                     continue
-                d = decompose_product_element(inst, a, c, order)
+                d = decompose_kernel_word(inst, _product_word(a, c, order))
                 covered += 1
                 assert d.value == k
                 assert evaluate_tree(inst, d.tree) == k
@@ -210,7 +227,7 @@ def test_product_decomposition_all_valid_pairs_both_orders():
 
 def test_product_decomposition_leaves_lie_in_the_kernels():
     inst = _identity_instance("sd_mul_z2r")
-    d = decompose_product_element(inst, 2, 2)
+    d = decompose_kernel_word(inst, _product_word(2, 2))
     kernel = set(inst.K)
 
     def leaves(tree):
@@ -224,18 +241,12 @@ def test_product_decomposition_leaves_lie_in_the_kernels():
     assert found and all(x in kernel for _, x in found)
 
 
-def test_product_decomposition_rejects_unknown_order():
-    inst = _identity_instance("sd_mul_z2r")
-    with pytest.raises(StructuralError):
-        decompose_product_element(inst, 0, 0, "ff")
-
-
 def test_product_decomposition_is_semiring_specific():
     mid = CAT.points["prod_b2_b2"]
     m = PointMorphism(mid, mid, identity_hom(mid.A), identity_hom(B2))
     inst = CoherenceInstance(m, m)
-    with pytest.raises(StructuralError):
-        decompose_product_element(inst, 0, 0)
+    with pytest.raises(StructuralError, match="semiring-specific"):
+        decompose_kernel_word(inst, _product_word(0, 0))
 
 
 def test_word_decomposition_lengths_one_to_three():
@@ -287,6 +298,7 @@ def test_word_decomposition_rejections():
 
 
 def test_refused_word_takes_no_schreier_retraction(monkeypatch):
+    # The instance holds both retractions, so no word decides Schreier again.
     inst = _identity_instance("sd_mul_z2r")
     calls = []
 
@@ -294,11 +306,14 @@ def test_refused_word_takes_no_schreier_retraction(monkeypatch):
         calls.append(p)
         return check_schreier(p)
 
-    monkeypatch.setattr(points, "check_schreier", counting)
+    for module in (points, coherence):
+        monkeypatch.setattr(module, "check_schreier", counting)
     with pytest.raises(StructuralError, match="does not land in the kernel"):
         decompose_kernel_word(inst, (("f", 1),))
+    decompose_kernel_word(inst, (("f", 2), ("g", 3)))
     assert calls == []
-    decompose_kernel_word(inst, (("f", 0),))  # an admitted word takes both
+    assert inst.retractions == (schreier_retraction(inst.left),
+                                schreier_retraction(inst.right))
     assert calls == [inst.left, inst.right]
 
 

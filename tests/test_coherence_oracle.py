@@ -1,22 +1,27 @@
-"""Differential tests: the product decomposition (now the two-letter word),
-the word decomposition (now one left fold) and the catalog coherence
-instances (now one jse_pairs sweep) against the routines they replaced,
-kept here verbatim as oracles."""
+"""Differential tests: the product decomposition (now the mixed two-letter
+word), the word decomposition (now one left fold over the retractions the
+instance holds), coherence along change of base (now on pullbacks its caller
+builds once per (h, point)) and the catalog coherence instances (now one
+jse_pairs sweep) against the routines they replaced, kept here verbatim as
+oracles."""
 
+import functools
 import itertools
 
 import pytest
 
-from schreierkit import (CoherenceInstance, ComputationError, PointMorphism,
-                         StructuralError, build_catalog, check_schreier,
+from schreierkit import (CoherenceInstance, ComputationError, Hom,
+                         PointMorphism, StructuralError, build_catalog,
+                         check_coherence_along, check_schreier,
                          coherence_instances, decompose_kernel_word,
-                         decompose_product_element, enumerate_fibre_morphisms,
-                         identity_hom, jointly_strongly_epi,
+                         enumerate_fibre_morphisms, enumerate_homs,
+                         identity_hom, jointly_strongly_epi, pullback_point,
                          schreier_retraction)
 from schreierkit.algebra import DEFAULT_HOM_GUARD
 from schreierkit.catalog import Catalog
-from schreierkit.coherence import (Decomposition, _certify, _require_semiring,
-                                   evaluate_tree)
+from schreierkit.coherence import (Decomposition, JseCheck, _certify,
+                                   _require_semiring, evaluate_tree)
+from schreierkit.suites import COHERENCE_ALONG_MAX, _sized
 
 CAT = build_catalog()
 
@@ -183,6 +188,33 @@ def _oracle_decompose_kernel_word(inst: CoherenceInstance, word) -> Decompositio
     return _certify(inst, k, tree, tuple(b for _, _, b in letters))
 
 
+def _oracle_check_coherence_along(h: Hom, inst: CoherenceInstance) -> JseCheck:
+    """Pull the instance back along h: E -> B and re-test joint strong epimorphy.
+
+    Rejects instances whose pair is not jointly strongly epimorphic to begin
+    with: preservation is only meaningful for pairs that have the property.
+    """
+    if h.target != inst.base:
+        raise StructuralError("check_coherence_along: h must land in the base")
+    if not jointly_strongly_epi(inst.f.g, inst.g.g).ok:
+        raise StructuralError("the pair is not jointly strongly epimorphic over the base")
+    pulled_left = pullback_point(h, inst.left)
+    pulled_middle = pullback_point(h, inst.middle)
+    pulled_right = pullback_point(h, inst.right)
+    middle_index = {pair: i for i, pair in enumerate(pulled_middle.pairs)}
+
+    def transport(pulled_src, total_map) -> Hom:
+        rows = tuple(middle_index[(total_map[a], e)] for (a, e) in pulled_src.pairs)
+        return Hom(pulled_src.point.A, pulled_middle.point.A, rows)
+
+    f_e = transport(pulled_left, inst.f.g.map)
+    g_e = transport(pulled_right, inst.g.g.map)
+    # Squares of the pulled-back morphisms; construction failure is a bug.
+    PointMorphism(pulled_left.point, pulled_middle.point, f_e, identity_hom(h.source))
+    PointMorphism(pulled_right.point, pulled_middle.point, g_e, identity_hom(h.source))
+    return jointly_strongly_epi(f_e, g_e)
+
+
 def _oracle_coherence_instances(cat: Catalog, variety: str, *,
                                 guard: int = DEFAULT_HOM_GUARD
                                 ) -> tuple[tuple[str, CoherenceInstance], ...]:
@@ -248,7 +280,8 @@ def test_product_decomposition_is_the_oracle_with_middle_summands_swapped():
         for a in inst.left.A.elements:
             for c in inst.right.A.elements:
                 for order in ("fg", "gf"):
-                    got = _outcome(decompose_product_element, inst, a, c, order)
+                    word = (("f", a), ("g", c)) if order == "fg" else (("g", c), ("f", a))
+                    got = _outcome(decompose_kernel_word, inst, word)
                     want = _outcome(_oracle_decompose_product_element, inst, a, c, order)
                     if isinstance(want, Decomposition):
                         assert _swap_middle_summands(got) == want, (a, c, order)
@@ -286,3 +319,19 @@ def test_catalog_instances_match_the_oracle(variety):
     assert len(got) == len(want)
     assert ({name: (i.f.g.map, i.g.g.map) for name, i in got}
             == {name: (i.f.g.map, i.g.g.map) for name, i in want})
+
+
+@pytest.mark.parametrize("variety, pairs", [("mon", 1024), ("srng", 190)])
+def test_coherence_along_shared_pullbacks_match_the_oracle(variety, pairs):
+    # the sweep of verify coherence: every (instance, h), each pullback built once
+    pulled_back = functools.cache(pullback_point)
+    checked = 0
+    for _, inst in coherence_instances(CAT, variety):
+        for _, E in _sized(CAT.algebras(variety), COHERENCE_ALONG_MAX):
+            for h in enumerate_homs(E, inst.base):
+                legs = (pulled_back(h, p) for p in (inst.left, inst.middle, inst.right))
+                got = check_coherence_along(h, inst, *legs)
+                want = _oracle_check_coherence_along(h, inst)
+                assert (got.ok, got.generated) == (want.ok, want.generated), h.map
+                checked += 1
+    assert checked == pairs

@@ -1,8 +1,10 @@
-"""Differential tests: enumerate_split_epis, semidirect, semidirect_srng and
-enumerate_semiring_actions against the routines they replaced.  Those are
-kept here verbatim as the oracle: split epis filtered as Hom objects, one
-semidirect body per kind of action, and the semiring action enumeration
-with its inline copies of the multiplicative and mixed axiom families."""
+"""Differential tests: enumerate_split_epis, semidirect, semidirect_srng,
+enumerate_semiring_actions and the semiring action axioms against the
+routines they replaced.  Those are kept here verbatim as the oracle: split
+epis filtered as Hom objects, one semidirect body per kind of action, the
+semiring action enumeration with its inline copies of the multiplicative and
+mixed axiom families, and the axiom check that concatenated each family's
+full list of violations before taking the first."""
 
 import pytest
 
@@ -12,8 +14,10 @@ from schreierkit import (ComputationError, Hom, InvalidAction, Kind,
                          enumerate_monoid_actions, enumerate_semiring_actions,
                          enumerate_split_epis, make_algebra, semidirect,
                          semidirect_point, semidirect_srng, validate_algebra)
-from schreierkit.actions import (SemiringAction, _additive_endo_monoid,
-                                 additive_reduct, require_valid_action)
+from schreierkit import actions
+from schreierkit.actions import (ActionReport, AxiomEntry, SemiringAction,
+                                 _additive_endo_monoid, _wrap, additive_reduct,
+                                 require_valid_action, validate_action)
 from schreierkit.algebra import DEFAULT_HOM_GUARD, same_signature
 from schreierkit.search import _Clock, _universe
 from schreierkit.suites import (ADJUNCTION_CARRIER_MAX, ADJUNCTION_SOURCE_MAX,
@@ -134,6 +138,62 @@ def _oracle_enumerate_semiring_actions(B: TabularAlgebra, X: TabularAlgebra, *,
     return tuple(out)
 
 
+def _first(pred_iter):
+    for w in pred_iter:
+        return w
+    return None
+
+
+def _oracle_validate_semiring_action(a: SemiringAction) -> ActionReport:
+    B, X = a.B, a.X
+    left, right = a.left, a.right
+    bmul, xmul = B.op_table("mul"), X.op_table("mul")
+    badd, xadd = B.add, X.add
+    bs, xs = B.elements, X.elements
+    entries = [
+        AxiomEntry("zero", *_wrap(_first(
+            w for w in (
+                [( "0.x", x) for x in xs if left[0][x] != 0]
+                + [("x.0", x) for x in xs if right[x][0] != 0]
+                + [("b.0", b) for b in bs if left[b][0] != 0]
+                + [("0.b", b) for b in bs if right[0][b] != 0])))),
+        AxiomEntry("add_in_x_left", *_wrap(_first(
+            (b, x1, x2) for b in bs for x1 in xs for x2 in xs
+            if left[b][xadd[x1][x2]] != xadd[left[b][x1]][left[b][x2]]))),
+        AxiomEntry("add_in_x_right", *_wrap(_first(
+            (x1, x2, b) for x1 in xs for x2 in xs for b in bs
+            if right[xadd[x1][x2]][b] != xadd[right[x1][b]][right[x2][b]]))),
+        AxiomEntry("add_in_b_left", *_wrap(_first(
+            (b1, b2, x) for b1 in bs for b2 in bs for x in xs
+            if left[badd[b1][b2]][x] != xadd[left[b1][x]][left[b2][x]]))),
+        AxiomEntry("add_in_b_right", *_wrap(_first(
+            (x, b1, b2) for x in xs for b1 in bs for b2 in bs
+            if right[x][badd[b1][b2]] != xadd[right[x][b1]][right[x][b2]]))),
+        # b.(x1 x2) = (b.x1) x2 and (x1 x2).b = x1 (x2.b)
+        AxiomEntry("mul_in_x", *_wrap(_first(
+            w for w in (
+                [(b, x1, x2) for b in bs for x1 in xs for x2 in xs
+                 if left[b][xmul[x1][x2]] != xmul[left[b][x1]][x2]]
+                + [(x1, x2, b) for x1 in xs for x2 in xs for b in bs
+                   if right[xmul[x1][x2]][b] != xmul[x1][right[x2][b]]])))),
+        # (b1 b2).x = b1.(b2.x) and x.(b1 b2) = (x.b1).b2
+        AxiomEntry("mul_in_b", *_wrap(_first(
+            w for w in (
+                [(b1, b2, x) for b1 in bs for b2 in bs for x in xs
+                 if left[bmul[b1][b2]][x] != left[b1][left[b2][x]]]
+                + [(x, b1, b2) for x in xs for b1 in bs for b2 in bs
+                   if right[right[x][b1]][b2] != right[x][bmul[b1][b2]]])))),
+        # x1 (b.x2) = (x1.b) x2 and (b1.x).b2 = b1.(x.b2)
+        AxiomEntry("mixed", *_wrap(_first(
+            w for w in (
+                [(x1, b, x2) for x1 in xs for b in bs for x2 in xs
+                 if xmul[x1][left[b][x2]] != xmul[right[x1][b]][x2]]
+                + [(b1, x, b2) for b1 in bs for x in xs for b2 in bs
+                   if right[left[b1][x]][b2] != left[b1][right[x][b2]]])))),
+    ]
+    return ActionReport(a, tuple(entries))
+
+
 # ---------------------------------------------------------------------------
 # split epis
 
@@ -212,3 +272,34 @@ def test_semiring_actions_match_the_oracle():
             assert got == _oracle_enumerate_semiring_actions(B, X), (B, X)
             found += len(got)
     assert found == 135
+
+
+def _shifted(a: SemiringAction) -> SemiringAction:
+    """a with every value moved up by one, so that the zero family fails too."""
+    n = a.X.size
+    return SemiringAction(a.B, a.X, *(tuple(tuple((v + 1) % n for v in row) for row in t)
+                                      for t in (a.left, a.right)))
+
+
+def test_semiring_action_reports_match_the_oracle(monkeypatch):
+    # every candidate pair the adjunction sweep's action pool tries, and the
+    # catalog actions with their shifted copies: whole reports, so each
+    # family's first witness too
+    tried = []
+
+    def recording(a):
+        tried.append(a)
+        return validate_action(a)
+
+    monkeypatch.setattr(actions, "validate_action", recording)
+    for _, B in _sized(CAT.semirings, ADJUNCTION_SOURCE_MAX):
+        for _, X in _sized(CAT.semirings, ADJUNCTION_CARRIER_MAX):
+            enumerate_semiring_actions(B, X)
+    monkeypatch.undo()
+    valid = 0
+    catalog = list(CAT.semiring_actions.values())
+    for a in [*tried, *catalog, *map(_shifted, catalog)]:
+        got = validate_action(a)
+        assert got == _oracle_validate_semiring_action(a), a
+        valid += got.ok
+    assert (len(tried), valid) == (1435, 81 + 5)

@@ -97,8 +97,10 @@ def _one_pass(tmp_path, workload: str) -> dict:
         [sys.executable, str(PERFBENCH / "child.py"), "--workload", workload,
          "--seed", "0", "--expected", str(PERFBENCH / "expected.json"),
          "--t0", repr(time.monotonic())],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True, timeout=300)
-    assert proc.returncode == 0
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, timeout=300)
+    assert proc.returncode == 0, (
+        f"child.py exited {proc.returncode}; stderr tail:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failures"] == {}
     return result
