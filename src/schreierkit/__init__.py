@@ -35,13 +35,11 @@ from .errors import (ComputationError, GuardExceeded, InvalidAction,
                      NotSchreier, SignatureMismatch, StructuralError,
                      ToolkitError)
 from .points import (Point, PointMorphism, SchreierStatus, SchreierWitness,
-                     check_schreier, check_ssfl, enumerate_fibre_morphisms,
+                     check_schreier, enumerate_fibre_morphisms,
                      enumerate_split_epis, fibre_maps, fibre_morphism,
                      fibre_product_point, identity_point, is_strong_point,
-                     kernel_algebra, kernel_bijective,
-                     kernel_restriction_bijective, points_isomorphic,
-                     product_point, pullback_point, schreier_retraction,
-                     ssfl_implication)
+                     kernel_algebra, points_isomorphic, product_point,
+                     pullback_point, schreier_retraction, ssfl_facts)
 from .reporting import Report, reports_equal_modulo_timestamp
 from .search import (GOALS, SearchBounds, SearchResult, replay_witness,
                      result_to_dict, search_counterexamples)

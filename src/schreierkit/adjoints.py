@@ -84,7 +84,7 @@ def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> C
     B, M = h.target, F.X
     required = M.size ** B.size
     if required > guard:
-        raise GuardExceeded("cofree_mon", required, guard)
+        raise GuardExceeded("cofree_mon", required, guard, "--guard-functions")
     elements = tuple(u for u in itertools.product(M.elements, repeat=B.size)
                      if _member_mon(u, h, F))
     if not elements or elements[0] != (0,) * B.size:

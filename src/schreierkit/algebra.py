@@ -510,7 +510,7 @@ def hom_maps(a: TabularAlgebra, b: TabularAlgebra, *,
     _require_same_signature(a, b, "enumerate_homs")
     required = hom_candidate_count(a, b)
     if required > guard:
-        raise GuardExceeded("enumerate_homs", required, guard)
+        raise GuardExceeded("enumerate_homs", required, guard, "--guard-homs")
     return _homs_core(a, b)
 
 

@@ -18,15 +18,18 @@ class SignatureMismatch(ToolkitError):
 
 
 class GuardExceeded(ToolkitError):
-    """An enumeration would exceed its guard; names the required bound."""
+    """An enumeration would exceed its guard; names the required bound and
+    the CLI flag that sets the guard."""
 
-    def __init__(self, what: str, required: int, limit: int):
+    def __init__(self, what: str, required: int, limit: int, flag: str):
         self.what = what
         self.required = required
         self.limit = limit
+        self.flag = flag
         super().__init__(
             f"{what}: needs {required} candidates, guard is {limit}; "
-            f"raise the guard to at least {required} to run this enumeration"
+            f"raise {flag} (library keyword guard) to at least {required} "
+            f"to run this enumeration"
         )
 
 

@@ -31,8 +31,7 @@ from .catalog import build_catalog
 from .coherence import CoherenceInstance, check_kernel_coherence, jse_pairs
 from .errors import ComputationError, StructuralError
 from .points import (check_schreier, enumerate_split_epis, fibre_maps,
-                     fibre_morphism, kernel_bijective,
-                     kernel_restriction_bijective)
+                     fibre_morphism, ssfl_facts)
 from .serialize import (SCHEMA_VERSION, Document, _field, dumps_canonical,
                         point_from_dict, point_morphism_from_dict,
                         point_morphism_to_dict, point_to_dict)
@@ -161,7 +160,7 @@ def replay_witness(doc: Document) -> str:
         return _kernel_coherence_verdict(CoherenceInstance(f, g))
     if checker == "ssfl":
         m = point_morphism_from_dict(_field(payload, "morphism", "witness payload"))
-        return _ssfl_verdict(kernel_restriction_bijective(m), m.g.is_bijective())
+        return _ssfl_verdict(*ssfl_facts(m.source, m.target, m.g.map))
     raise StructuralError(f"witness: unknown checker {checker!r}")
 
 
@@ -238,7 +237,7 @@ def _search_ssfl(goal, algebras, clock, tally):
             for tgt in points:
                 for g in fibre_maps(src, tgt):
                     tally[0] += 1
-                    if kernel_bijective(src, tgt, g) and sorted(g) != list(tgt.A.elements):
+                    if ssfl_facts(src, tgt, g) == (True, False):
                         payload = {"morphism": point_morphism_to_dict(
                             fibre_morphism(src, tgt, g))}
                         yield _witness(goal, "ssfl", payload, _ssfl_verdict(True, False))

@@ -28,9 +28,9 @@ from .coherence import (check_coherence_along, check_kernel_coherence,
                         check_ring_base_schreier, decompose_kernel_word,
                         jointly_strongly_epi, jse_in_fibre)
 from .errors import ComputationError, StructuralError
-from .points import (check_schreier, check_ssfl, enumerate_fibre_morphisms,
-                     enumerate_split_epis, fibre_maps, fibre_product_point,
-                     is_strong_point, pullback_point)
+from .points import (check_schreier, enumerate_split_epis, fibre_maps,
+                     fibre_morphism, fibre_product_point, is_strong_point,
+                     pullback_point, ssfl_facts)
 from .reporting import Report
 from .serialize import point_morphism_to_dict, point_to_dict
 
@@ -118,23 +118,24 @@ def suite_ssfl(cat: Catalog | None = None, *,
                hom_guard: int = DEFAULT_HOM_GUARD,
                command=("verify", "ssfl")) -> Report:
     """Split short five lemma on every fibre morphism of Schreier catalog
-    points: kernel-bijective implies bijective."""
+    points: kernel-bijective implies bijective.  The witness is the first
+    failing morphism."""
     cat = cat or build_catalog()
     rep = Report(list(command), {"guard_homs": hom_guard})
     for variety in VARIETIES:
         points = cat.schreier_points(variety)
         checked = 0
-        bad = []
+        bad = None
         for _, p1 in points:
             for _, p2 in points:
                 if p1.B != p2.B:
                     continue
-                for m in enumerate_fibre_morphisms(p1, p2, guard=hom_guard):
+                for g in fibre_maps(p1, p2, guard=hom_guard):
                     checked += 1
-                    if not check_ssfl(m):
-                        bad.append(m)
-        rep.add(f"ssfl[{variety}]", not bad, f"fibre morphisms={checked}",
-                point_morphism_to_dict(bad[0]) if bad else None)
+                    if bad is None and ssfl_facts(p1, p2, g) == (True, False):
+                        bad = fibre_morphism(p1, p2, g)
+        rep.add(f"ssfl[{variety}]", bad is None, f"fibre morphisms={checked}",
+                None if bad is None else point_morphism_to_dict(bad))
     return rep
 
 

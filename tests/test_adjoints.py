@@ -68,8 +68,9 @@ def test_cofree_shift_action_formula():
 def test_cofree_guard():
     h = Hom(ZERO, CAT.monoids["n3xn3"], (0,))
     F = MonoidAction(ZERO, CAT.monoids["b2xb2"], (tuple(range(4)),))
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded) as exc:
         cofree_mon(h, F, guard=1000)  # 4^9 candidates
+    assert (exc.value.required, exc.value.flag) == (4 ** 9, "--guard-functions")
 
 
 # ---------------------------------------------------------------------------

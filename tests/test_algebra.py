@@ -157,6 +157,7 @@ def test_hom_guard_is_loud():
     with pytest.raises(GuardExceeded) as exc:
         enumerate_homs(big, big, guard=2)
     assert exc.value.required > 2
+    assert exc.value.flag == "--guard-homs"
 
 
 # ---------------------------------------------------------------------------

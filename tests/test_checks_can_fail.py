@@ -1,5 +1,5 @@
-"""Every adjunction, action/point roundtrip, coherence-along and
-decomposition verdict line can fail.
+"""Every adjunction, action/point roundtrip, coherence-along, decomposition
+and split-short-five-lemma verdict line can fail.
 
 A check that no fault can turn red certifies nothing.  Each row of the
 table below puts one wrong construction in place of the right one, at the
@@ -11,7 +11,8 @@ The adjunction rows run on a slice of the catalog (monoids of size <= 3,
 four semirings), small enough that the whole table takes about a second;
 suite_roundtrip runs on the whole catalog.  The coherence rows run
 suite_coherence on a second slice: two points and three algebras of each
-variety.
+variety.  The ssfl rows run suite_ssfl on the whole catalog, tampered so
+that its Schreier points admit one of its points that is not.
 """
 
 import copy
@@ -22,14 +23,15 @@ import re
 import pytest
 
 from schreierkit import (Hom, Kind, MonoidAction, Point, SemiringAction,
-                         build_catalog, check_coherence_along, cofree_mon,
+                         build_catalog, check_coherence_along,
+                         check_schreier, cofree_mon,
                          cofree_mon_surjective, counit_mon,
                          decompose_kernel_word, equivariant_homs,
                          invariants_srng, point_to_action, product,
                          restrict_action, restrict_invariant_map,
                          semidirect_point, suite_adjunction_mon,
                          suite_adjunction_srng, suite_coherence,
-                         suite_roundtrip)
+                         suite_roundtrip, suite_ssfl)
 from schreierkit import adjoints, coherence, suites
 from schreierkit.adjoints import _mediating_map
 from schreierkit.catalog import Catalog
@@ -281,6 +283,40 @@ COHERENCE_ROWS = {
 }
 
 
+@dataclasses.dataclass(frozen=True)
+class _CatalogAdmitting(Catalog):
+    """A catalog whose Schreier points also admit its point `admitted`,
+    which is not Schreier."""
+
+    admitted: str
+
+    def schreier_points(self, variety):
+        points = dict(super().schreier_points(variety))
+        if self.admitted in self.points_of(variety):
+            points[self.admitted] = self.points[self.admitted]
+        return sorted(points.items())
+
+
+def _admitting(name):
+    return _CatalogAdmitting(**{f.name: getattr(CAT, f.name)
+                                for f in dataclasses.fields(Catalog)}, admitted=name)
+
+
+# the table: (non-Schreier catalog point admitted, {line that goes red: what it shows})
+SSFL_ROWS = {
+    # diag_b2 -> diag_b2 by g = (0, 1, 3, 3): both kernels are {0, 1}, and g
+    # is not onto
+    "mon-admits-diag_b2": (
+        "diag_b2", {"ssfl[mon]": r'fibre morphisms=36 \{"g": \[0, 1, 3, 3\], '
+                                 r'"h": \[0, 1\], "source": \{.*"target": \{'}),
+    # sd_mul_bool -> diag_bool by g = (0, 3, 1, 3): the kernel {0, 2} onto
+    # {0, 1}, and g is not onto
+    "srng-admits-diag_bool": (
+        "diag_bool", {"ssfl[srng]": r'fibre morphisms=18 \{"g": \[0, 3, 1, 3\], '
+                                    r'"h": \[0, 1\], "source": \{.*"target": \{'}),
+}
+
+
 def _assert_red_exactly(verdicts, red):
     for line, shows in red.items():
         assert not verdicts[line].ok, line
@@ -313,3 +349,18 @@ def test_fault_turns_its_coherence_line_red(monkeypatch, row):
     module, name, fault, red = COHERENCE_ROWS[row]
     monkeypatch.setattr(module, name, fault)
     _assert_red_exactly(_coherence_verdicts(), red)
+
+
+def test_every_ssfl_line_is_green_without_a_fault():
+    verdicts = {c.name: c for c in suite_ssfl(CAT).checks}
+    assert sorted(verdicts) == ["ssfl[mon]", "ssfl[srng]"]
+    _assert_red_exactly(verdicts, {})
+
+
+@pytest.mark.parametrize("row", SSFL_ROWS)
+def test_tampered_catalog_turns_its_ssfl_line_red(row):
+    admitted, red = SSFL_ROWS[row]
+    assert not check_schreier(CAT.points[admitted]).is_schreier
+    verdicts = {c.name: c for c in suite_ssfl(_admitting(admitted)).checks}
+    assert sorted(verdicts) == ["ssfl[mon]", "ssfl[srng]"]
+    _assert_red_exactly(verdicts, red)

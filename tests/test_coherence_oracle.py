@@ -1,9 +1,10 @@
 """Differential tests: the product decomposition (now the mixed two-letter
 word), the word decomposition (now one left fold over the retractions the
-instance holds), coherence along change of base (now on pullbacks its caller
-builds once per (h, point)) and the catalog coherence instances (now one
-jse_pairs sweep) against the routines they replaced, kept here verbatim as
-oracles."""
+instance holds, and then without the per-merge re-evaluations and the
+certificate checks that were equal by construction), coherence along change
+of base (now on pullbacks its caller builds once per (h, point)) and the
+catalog coherence instances (now one jse_pairs sweep) against the routines
+they replaced, kept here verbatim as oracles."""
 
 import functools
 import itertools
@@ -19,7 +20,7 @@ from schreierkit import (CoherenceInstance, ComputationError, Hom,
                          schreier_retraction)
 from schreierkit.algebra import DEFAULT_HOM_GUARD
 from schreierkit.catalog import Catalog
-from schreierkit.coherence import (Decomposition, JseCheck, _certify,
+from schreierkit.coherence import (Decomposition, JseCheck, _leaf_membership,
                                    _require_semiring, evaluate_tree)
 from schreierkit.suites import COHERENCE_ALONG_MAX, _sized
 
@@ -28,6 +29,115 @@ CAT = build_catalog()
 
 # ---------------------------------------------------------------------------
 # the oracles
+
+
+def _oracle_certify(inst: CoherenceInstance, value: int, tree, vanishing) -> Decomposition:
+    if inst.middle.f.map[value] != 0:
+        raise ComputationError("decomposed element escapes the kernel K")
+    _leaf_membership(inst, tree)
+    got = evaluate_tree(inst, tree)
+    if got != value:
+        raise ComputationError(f"decomposition evaluates to {got}, expected {value}")
+    prod = vanishing[0]
+    for b in vanishing[1:]:
+        prod = inst.base.mul(prod, b)
+    if prod != 0:
+        raise ComputationError(f"vanishing certificate fails: product of {vanishing} "
+                               f"is {prod} != 0 in B")
+    return Decomposition(inst, value, tree, tuple(vanishing))
+
+
+def _oracle_parent_decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
+    """Decompose a product of letters f(a_i), g(c_i) lying in the kernel K.
+
+    Each letter splits through its Schreier decomposition into a kernel image
+    plus a section value; distributing the product gives 2^n terms.  Section
+    factors are absorbed into neighbouring kernel leaves (f(h)s(b) = f(h s'(b))
+    and symmetrically), adjacent section factors multiply, and the all-section
+    term is s of the product of the base values, which the hypothesis forces
+    to 0.  Every absorption step is checked by evaluating the term before and
+    after.
+    """
+    _require_semiring(inst)
+    word = tuple(word)
+    if not word:
+        raise StructuralError("cannot decompose the empty word")
+    D = inst.middle.A
+    dmul, dadd = D.op_table("mul"), D.add
+    smap = inst.middle.s.map
+    # per letter tag: its source point and its map into D
+    sides = {"f": (inst.left, inst.f.g.map), "g": (inst.right, inst.g.g.map)}
+    for tag, x in word:
+        if tag not in ("f", "g"):
+            raise StructuralError(f"unknown letter tag {tag!r}")
+        if not (0 <= x < sides[tag][0].A.size):
+            raise StructuralError(f"letter {tag}({x}) out of range")
+    values = [sides[tag][1][x] for tag, x in word]
+    k = values[0]
+    for v in values[1:]:
+        k = dmul[k][v]
+    if inst.middle.f.map[k] != 0:
+        raise StructuralError("hypothesis fails: the word does not land in the kernel")
+
+    q = dict(zip("fg", inst.retractions))
+    letters = [(v, (tag, q[tag][x]), sides[tag][0].f.map[x])
+               for v, (tag, x) in zip(values, word)]
+
+    for value, leaf, b in letters:  # each split checked: letter = leaf + s(b)
+        if dadd[evaluate_tree(inst, leaf)][smap[b]] != value:
+            raise ComputationError(f"Schreier split fails for letter of value {value}")
+
+    def term_value(factors) -> int:
+        acc = None
+        for kind, payload in factors:
+            v = smap[payload] if kind == "s" else evaluate_tree(inst, payload)
+            acc = v if acc is None else dmul[acc][v]
+        return acc
+
+    def merge(x, y):
+        # The factor replacing adjacent factors x y, or None for two leaves.
+        (k1, p1), (k2, p2) = x, y
+        if k1 == "s" and k2 == "s":
+            return ("s", inst.base.mul(p1, p2))
+        if k2 == "s":  # f(h) s(b) = f(h s'(b)), and likewise for g
+            src = sides[p1[0]][0]
+            return ("leaf", (p1[0], src.A.mul(p1[1], src.s.map[p2])))
+        if k1 == "s":
+            src = sides[p2[0]][0]
+            return ("leaf", (p2[0], src.A.mul(src.s.map[p1], p2[1])))
+        return None
+
+    def absorb(factors):
+        # One left fold: out is always [s] or a run of kernel leaves, and each
+        # merge is checked on the value of the whole term.
+        out = []
+        for i, cur in enumerate(factors):
+            repl = merge(out[-1], cur) if out else None
+            if repl is None:
+                out.append(cur)
+                continue
+            rest = factors[i + 1:]
+            if term_value(out + [cur] + rest) != term_value(out[:-1] + [repl] + rest):
+                raise ComputationError("absorption step changed the term value")
+            out[-1] = repl
+        return out
+
+    n = len(letters)
+    summands = []
+    for mask in range(1 << n):
+        factors = [("s", b) if mask & (1 << i) else ("leaf", leaf)
+                   for i, (_, leaf, b) in enumerate(letters)]
+        reduced = absorb(factors)
+        if mask == (1 << n) - 1:
+            # s of the product of the base values, which the hypothesis forces to 0
+            if reduced != [("s", 0)]:
+                raise ComputationError("all-section term does not vanish")
+            summands.append(("szero",))
+            continue
+        leaves = [payload for _, payload in reduced]
+        summands.append(leaves[0] if len(leaves) == 1 else ("mul", *leaves))
+    tree = ("add", *summands)
+    return _oracle_certify(inst, k, tree, tuple(b for _, _, b in letters))
 
 
 def _oracle_decompose_product_element(inst: CoherenceInstance, a: int, c: int,
@@ -68,7 +178,7 @@ def _oracle_decompose_product_element(inst: CoherenceInstance, a: int, c: int,
                 ("f", A.mul(s_left[b2], h)),
                 ("szero",))
         vanishing = (b2, b1)
-    return _certify(inst, k, tree, vanishing)
+    return _oracle_certify(inst, k, tree, vanishing)
 
 
 def _oracle_decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
@@ -185,7 +295,7 @@ def _oracle_decompose_kernel_word(inst: CoherenceInstance, word) -> Decompositio
     # forced to 0 by the hypothesis; absorb() already collapsed it stepwise.
     if vanishing_product is None:
         raise ComputationError("all-section term never materialized")
-    return _certify(inst, k, tree, tuple(b for _, _, b in letters))
+    return _oracle_certify(inst, k, tree, tuple(b for _, _, b in letters))
 
 
 def _oracle_check_coherence_along(h: Hom, inst: CoherenceInstance) -> JseCheck:
@@ -310,6 +420,30 @@ def test_word_decomposition_matches_the_oracle_on_every_short_word():
                     refused += 1
     # verify coherence counts 7946 and 1346 on the catalog; sd_mul_bool adds 500 and 84
     assert (decomposed, refused) == (8446, 1430)
+
+
+def test_word_decomposition_matches_the_parent_on_the_sweep_words():
+    # every word of the verify coherence sweep: the same value, tree and
+    # vanishing certificate, or the same error with the same message
+    decomposed = refused = 0
+    for _, inst in coherence_instances(CAT, "srng"):
+        alphabet = ([("f", a) for a in inst.left.A.elements]
+                    + [("g", c) for c in inst.right.A.elements])
+        for n in range(1, 4):
+            for word in itertools.product(alphabet, repeat=n):
+                try:
+                    want = _oracle_parent_decompose_kernel_word(inst, word)
+                except (StructuralError, ComputationError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        decompose_kernel_word(inst, word)
+                    assert str(got.value) == str(exc), word
+                    refused += 1
+                    continue
+                got = decompose_kernel_word(inst, word)
+                assert (got.value, got.tree, got.vanishing) == (
+                    want.value, want.tree, want.vanishing), word
+                decomposed += 1
+    assert (decomposed, refused) == (7946, 1346)
 
 
 @pytest.mark.parametrize("variety", ["mon", "srng"])

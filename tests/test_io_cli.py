@@ -336,6 +336,19 @@ def test_cli_usage_errors_exit_two():
                      "--max-size", "2", "--timeout", timeout]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "ssfl", "--guard-homs", "3"], "--guard-homs"),
+    (["verify", "protomodularity", "--guard-homs", "1"], "--guard-homs"),
+    (["verify", "adjunction", "--variety", "mon", "--guard-functions", "3"],
+     "--guard-functions"),
+])
+def test_cli_guard_refusal_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("GuardExceeded:")
+    assert f"raise {flag} " in err
+
+
 # ---------------------------------------------------------------------------
 # command line: verification flows
 

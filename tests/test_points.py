@@ -6,12 +6,11 @@ import pytest
 
 from schreierkit import (Hom, NotSchreier, Point, SchreierStatus,
                          StructuralError, build_catalog, check_schreier,
-                         check_ssfl, enumerate_fibre_morphisms,
-                         enumerate_split_epis, fibre_product_point,
-                         identity_hom, identity_point, is_strong_point,
-                         kernel_restriction_bijective, points_isomorphic,
+                         enumerate_fibre_morphisms, enumerate_split_epis,
+                         fibre_maps, fibre_product_point, identity_hom,
+                         identity_point, is_strong_point, points_isomorphic,
                          product, product_point, pullback_point,
-                         schreier_retraction, ssfl_implication)
+                         schreier_retraction, ssfl_facts)
 
 CAT = build_catalog()
 B2 = CAT.monoids["b2"]
@@ -167,37 +166,34 @@ def test_fibre_morphism_count_frozen():
 
 def test_ssfl_on_schreier_catalog():
     for variety in ("mon", "srng"):
-        pts = [p for p in CAT.points_of(variety).values()
-               if check_schreier(p).is_schreier]
+        pts = [p for _, p in CAT.schreier_points(variety)]
         for p1 in pts:
             for p2 in pts:
                 if p1.B != p2.B:
                     continue
-                for m in enumerate_fibre_morphisms(p1, p2):
-                    assert check_ssfl(m)
-                    if kernel_restriction_bijective(m):
-                        assert m.g.is_bijective()
+                for g in fibre_maps(p1, p2):
+                    kernel_bijective, bijective = ssfl_facts(p1, p2, g)
+                    assert bijective or not kernel_bijective
 
 
 def test_ssfl_fails_off_the_schreier_class():
     """Kernel-bijective but not bijective, available once p1 is not Schreier."""
     p1 = Point(N3, B2, Hom(N3, B2, (0, 1, 1)), Hom(B2, N3, (0, 2)))
     p2 = identity_point(B2)
-    from schreierkit.points import PointMorphism
-    m = PointMorphism(p1, p2, Hom(N3, B2, (0, 1, 1)), identity_hom(B2))
-    assert kernel_restriction_bijective(m)  # both kernels are {0}
-    assert not m.g.is_bijective()
-    assert not ssfl_implication(m)
+    assert (0, 1, 1) in fibre_maps(p1, p2)
+    assert ssfl_facts(p1, p2, (0, 1, 1)) == (True, False)  # both kernels are {0}
     with pytest.raises(NotSchreier):
-        check_ssfl(m)  # refuses: p1 outside the Schreier class
+        schreier_retraction(p1)  # the precondition that callers of ssfl_facts check
 
 
-def test_check_ssfl_requires_fibre_morphism():
+def test_ssfl_facts_on_fibre_morphisms():
     p = CAT.points["prod_b2_b2"]
     q = CAT.points["prod_b2_z2"]
-    from schreierkit.points import PointMorphism
-    m = PointMorphism(CAT.points["id_b2"], p, p.s, identity_hom(B2))
-    assert check_ssfl(m)  # this one is a fibre morphism
-    collapse = PointMorphism(
-        q, CAT.points["id_b2"], q.f, identity_hom(B2))
-    assert check_ssfl(collapse) is True  # kernel collapses, not bijective: no premise
+    ident = CAT.points["id_b2"]
+    # the section of p, id_b2 -> p: the kernel {0} misses most of p's kernel
+    assert p.s.map in fibre_maps(ident, p)
+    assert ssfl_facts(ident, p, p.s.map) == (False, False)
+    # the projection of q collapses its kernel: no premise, not bijective
+    assert q.f.map in fibre_maps(q, ident)
+    assert ssfl_facts(q, ident, q.f.map) == (False, False)
+    assert ssfl_facts(q, q, tuple(q.A.elements)) == (True, True)
