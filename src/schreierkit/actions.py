@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, TabularAlgebra, Table,
-                      _as_table, check_hom, enumerate_homs, hom_maps,
+                      _as_table, _homs_core, check_hom, enumerate_homs, hom_maps,
                       identity_hom, make_algebra, same_signature,
                       validate_algebra)
 from .errors import (ComputationError, InvalidAction, NotSchreier,
@@ -305,19 +306,44 @@ def _acting_maps(a: Action) -> tuple[tuple[int, ...], ...]:
     return a.left + tuple(zip(*a.right))
 
 
+@lru_cache(maxsize=1 << 14)
+def _square_bits(x1: TabularAlgebra, x2: TabularAlgebra,
+                 r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
+    """Bit i is set when hom_maps(x1, x2)[i] = m has m . r1 = r2 . m."""
+    bits = 0
+    for i, m in enumerate(_homs_core(x1, x2)):
+        if all(m[r1[x]] == r2[m[x]] for x in x1.elements):
+            bits |= 1 << i
+    return bits
+
+
 def equivariant_homs(a1: Action, a2: Action, *,
                      guard: int = DEFAULT_HOM_GUARD) -> tuple[tuple[int, ...], ...]:
     """The map arrays, in hom_maps order, of the homs m: X1 -> X2 with
     m . r1 = r2 . m for each pair (r1, r2) of _acting_maps(a1) and
-    _acting_maps(a2); a semiring's right action is read by columns."""
+    _acting_maps(a2); a semiring's right action is read by columns.
+
+    Each square (r1, r2) is one int over hom_maps(X1, X2), kept by value in
+    _square_bits; the hom-set is the AND of the squares' ints, the bitset
+    form of a table constraint (Compact-Table, Demeulenaere et al., CP 2016).
+    """
     if a1.B != a2.B:
         raise SignatureMismatch("equivariant homs need actions of the same base")
     if not same_signature(a1.X, a2.X):
         raise SignatureMismatch("equivariant homs need carriers of one signature")
-    squares = tuple(zip(_acting_maps(a1), _acting_maps(a2)))
-    xs = a1.X.elements
-    return tuple(m for m in hom_maps(a1.X, a2.X, guard=guard)
-                 if all(m[r1[x]] == r2[m[x]] for r1, r2 in squares for x in xs))
+    x1, x2 = a1.X, a2.X
+    homs = hom_maps(x1, x2, guard=guard)
+    bits = (1 << len(homs)) - 1
+    for r1, r2 in zip(_acting_maps(a1), _acting_maps(a2)):
+        bits &= _square_bits(x1, x2, r1, r2)
+        if not bits:
+            return ()
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(homs[low.bit_length() - 1])
+        bits ^= low
+    return tuple(out)
 
 
 def additive_reduct(a: TabularAlgebra) -> TabularAlgebra:

@@ -5,7 +5,10 @@ B-action lives on
 
     L(B, M) = { u : B -> M | e . u(b) = u(h(e) + b) for all e, b }
 
-with pointwise addition and the shift action (b0 . u)(b) = u(b + b0).  The
+with pointwise addition and the shift action (b0 . u)(b) = u(b + b0).
+cofree_mon does not scan all |M| ** |B| functions: the equation fixes
+u(h(e) + b) once u(b) is chosen, so it chooses values only where earlier
+choices leave them free, propagates each choice, and prunes conflicts.  The
 counit is evaluation at 0; the mediating map for an equivariant beta is
 gamma(x)(b) = beta(b . x).  When h is surjective and a basepoint-preserving
 set-section is chosen, L(B, M) collapses onto a submonoid of M; with a
@@ -30,7 +33,7 @@ checked; their failure raises ComputationError, marking an internal bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .actions import (MonoidAction, SemiringAction, equivariant_homs,
                       restrict_action, validate_action)
@@ -47,9 +50,10 @@ DEFAULT_FUNC_GUARD = 1_000_000
 
 @dataclass(frozen=True)
 class CofreeTable:
-    """L(B, M) materialized: membership-filtered functions, pointwise monoid,
-    shift action.  elements[i] is the function u as a tuple indexed by B;
-    element 0 is the zero function; pos inverts elements."""
+    """L(B, M) materialized: the member functions, pointwise monoid, shift
+    action.  elements[i] is the function u as a tuple indexed by B;
+    element 0 is the zero function; pos inverts elements (a builder that
+    already made that index passes it as index)."""
 
     h: Hom  # E -> B
     m_action: MonoidAction  # the given action of E on M
@@ -57,9 +61,11 @@ class CofreeTable:
     monoid: TabularAlgebra  # pointwise addition on elements
     action: MonoidAction  # shift action of B on the monoid
     pos: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    index: InitVar[dict | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", {u: i for i, u in enumerate(self.elements)})
+    def __post_init__(self, index):
+        object.__setattr__(self, "pos", index if index is not None else
+                           {u: i for i, u in enumerate(self.elements)})
 
     @property
     def M(self) -> TabularAlgebra:
@@ -72,11 +78,52 @@ def _member_mon(u, h: Hom, F: MonoidAction) -> bool:
                for e in h.source.elements for b in h.target.elements)
 
 
+def _propagated_functions(h: Hom, F: MonoidAction) -> list[tuple[int, ...]]:
+    """The functions B -> M that survive propagating u(h(e) + b) = e . u(b)
+    from a value chosen at each b that earlier choices leave free."""
+    B, M = h.target, F.X
+    steps = tuple((B.add[h.map[e]], F.act[e]) for e in h.source.elements)
+    found = []
+
+    def force(u, b, m) -> bool:
+        u[b] = m
+        stack = [b]
+        while stack:
+            x = stack.pop()
+            for shift, act in steps:
+                y, w = shift[x], act[u[x]]
+                if u[y] is None:
+                    u[y] = w
+                    stack.append(y)
+                elif u[y] != w:
+                    return False
+        return True
+
+    def extend(u, b):
+        while b < B.size and u[b] is not None:
+            b += 1
+        if b == B.size:
+            found.append(tuple(u))
+            return
+        for m in M.elements:
+            v = list(u)
+            if force(v, b, m):
+                extend(v, b + 1)
+
+    extend([None] * B.size, 0)
+    return found
+
+
 def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> CofreeTable:
     """Compute L(B, M) for h: E -> B and an action F of E on M.
 
-    Enumerates all |M| ** |B| functions and filters by membership, so the
-    guard bounds that count.  Elements come out in lexicographic order, which
+    The equation u(h(e) + b) = e . u(b) fixes u at h(e) + b once u(b) is
+    known.  So values are chosen only at the b, in order, that no earlier
+    choice has reached; each choice is propagated through the equation, and
+    a conflict prunes it.  Every member survives, since its own values
+    satisfy each forced one; every survivor is confirmed by the full
+    membership test.  The guard still bounds |M| ** |B|, the size of the
+    function space searched.  Elements are sorted lexicographically, which
     puts the zero function at index 0.
     """
     if F.B != h.source:
@@ -85,8 +132,7 @@ def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> C
     required = M.size ** B.size
     if required > guard:
         raise GuardExceeded("cofree_mon", required, guard, "--guard-functions")
-    elements = tuple(u for u in itertools.product(M.elements, repeat=B.size)
-                     if _member_mon(u, h, F))
+    elements = tuple(sorted(u for u in _propagated_functions(h, F) if _member_mon(u, h, F)))
     if not elements or elements[0] != (0,) * B.size:
         raise ComputationError("zero function missing from L(B, M)")
     pos = {u: i for i, u in enumerate(elements)}
@@ -106,7 +152,7 @@ def cofree_mon(h: Hom, F: MonoidAction, *, guard: int = DEFAULT_FUNC_GUARD) -> C
     rep = validate_action(action)
     if not rep.ok:
         raise ComputationError(f"shift action violates {rep.first_violation()}")
-    return CofreeTable(h, F, elements, monoid, action)
+    return CofreeTable(h, F, elements, monoid, action, index=pos)
 
 
 def counit_mon(c: CofreeTable) -> Hom:
@@ -136,8 +182,8 @@ def _index(c: CofreeTable, u: tuple[int, ...], what: str) -> int:
 
 def _mediating_map(c: CofreeTable, G: MonoidAction, beta_map: tuple[int, ...]) -> tuple[int, ...]:
     """gamma(x) = the index in c.elements of b |-> beta(b . x)."""
-    return tuple(_index(c, tuple(beta_map[G.act[b][x]] for b in c.h.target.elements), "mediating")
-                 for x in G.X.elements)
+    # column x of G.act is b |-> b . x
+    return tuple(_index(c, tuple(beta_map[y] for y in col), "mediating") for col in zip(*G.act))
 
 
 def mediate_mon(c: CofreeTable, G: MonoidAction, beta: Hom, *,
@@ -220,9 +266,11 @@ def cofree_mon_surjective(c: CofreeTable, sect) -> SurjectiveCofree:
     if any(h.map[sect[b]] != b for b in B.elements):
         raise StructuralError("sect is not a right inverse of h")
     act = F.act
-    members = tuple(m for m in M.elements
-                    if all(act[E.add[e][sect[b]]][m] == act[sect[B.add[h.map[e]][b]]][m]
-                           for e in E.elements for b in B.elements))
+    # (e + sect(b)) . m = sect(h(e) + b) . m, one test per distinct pair of rows
+    rows = {(act[E.add[e][sect[b]]], act[sect[B.add[h.map[e]][b]]])
+            for e in E.elements for b in B.elements}
+    pairs = [(r1, r2) for r1, r2 in rows if r1 != r2]
+    members = tuple(m for m in M.elements if all(r1[m] == r2[m] for r1, r2 in pairs))
     if 0 not in members:
         raise ComputationError("0 escapes the simplified submonoid")
     escape = first_escape(M, members)  # a theorem: the membership condition is additive
@@ -277,7 +325,8 @@ def pointed_sections(h: Hom) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class InvariantSub:
     """R_h(X) for a surjective h: the elements on which h-equal scalars agree,
-    as a subalgebra of X with the induced B-action; pos inverts members."""
+    as a subalgebra of X with the induced B-action; pos inverts members (a
+    builder that already made that index passes it as index)."""
 
     h: Hom
     x_action: SemiringAction
@@ -285,9 +334,11 @@ class InvariantSub:
     algebra: TabularAlgebra
     action: SemiringAction  # B acting on the subalgebra
     pos: dict[int, int] = field(init=False, compare=False, repr=False)
+    index: InitVar[dict | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", {v: i for i, v in enumerate(self.members)})
+    def __post_init__(self, index):
+        object.__setattr__(self, "pos", index if index is not None else
+                           {v: i for i, v in enumerate(self.members)})
 
 
 def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
@@ -325,7 +376,7 @@ def invariants_srng(h: Hom, F: SemiringAction) -> InvariantSub:
     rep = validate_action(action)
     if not rep.ok:
         raise ComputationError(f"induced action violates {rep.first_violation()}")
-    return InvariantSub(h, F, members, algebra, action)
+    return InvariantSub(h, F, members, algebra, action, index=pos)
 
 
 def restrict_invariant_map(inv: InvariantSub, w: Hom) -> Hom:

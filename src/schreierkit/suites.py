@@ -423,7 +423,8 @@ def suite_coherence(cat: Catalog | None = None, *, variety: str | None = None,
                     for line in lines:
                         counts[line][outcome] += 1
         for line, witness in (("product", _product_witness), ("words", str)):
-            rep.add(f"decompose-{line}[srng]", not bad[line],
+            # a line that decomposed nothing certifies nothing
+            rep.add(f"decompose-{line}[srng]", not bad[line] and counts[line][0] > 0,
                     "decomposed={}, outside hypothesis={}".format(*counts[line]),
                     None if not bad[line] else
                     {"failing": witness(bad[line][0][:2]), "error": bad[line][0][2]})

@@ -3,7 +3,9 @@
 Each test runs one headline guarantee of the toolkit against the full
 catalog, so `pytest -v tests/test_acceptance.py` prints a single verdict
 line per guarantee.  Expensive suites run once per module and are shared
-between the tests that read different checks out of the same report.
+between the tests that read different checks out of the same report.  The
+sweeps that filter equivariant hom-sets run from an empty square-bit cache
+and assert that it evicted nothing.
 """
 
 import time
@@ -24,6 +26,7 @@ from schreierkit import (
     suite_roundtrip,
     suite_ssfl,
 )
+from schreierkit import actions
 from schreierkit.serialize import point_to_dict
 
 CAT = build_catalog()
@@ -45,6 +48,19 @@ def _require(report, *names):
     return {n: by[n] for n in names}
 
 
+def _cold_squares(run):
+    """run() from an empty square-bit cache of equivariant_homs; returns its
+    result and the cache's statistics."""
+    actions._square_bits.cache_clear()
+    result = run()
+    return result, actions._square_bits.cache_info()
+
+
+def _assert_nothing_evicted(squares):
+    # every square computed during the sweep is still held
+    assert 0 < squares.misses == squares.currsize < squares.maxsize, squares
+
+
 def _count(detail, key):
     # details read like "split epis=94, schreier=70"
     return int(detail.split(key + "=")[1].split(",")[0].split(" ")[0])
@@ -57,7 +73,8 @@ def protomodularity():
 
 @pytest.fixture(scope="module")
 def adjunction_mon():
-    return _timed(suite_adjunction_mon)
+    (rep, elapsed), squares = _cold_squares(lambda: _timed(suite_adjunction_mon))
+    return rep, elapsed, squares
 
 
 @pytest.fixture(scope="module")
@@ -98,27 +115,30 @@ def test_03_split_short_five_lemma_and_the_diagonal_witness(nonschreier_search):
 
 
 def test_04_actions_and_split_epis_are_interchangeable():
-    rep = suite_roundtrip(CAT)
+    rep, squares = _cold_squares(lambda: suite_roundtrip(CAT))
     _require(rep, "action-roundtrip[mon]", "action-roundtrip[srng]",
              "point-roundtrip[mon]", "point-roundtrip[srng]",
              "homset-cardinalities[mon]", "homset-cardinalities[srng]")
+    _assert_nothing_evicted(squares)
 
 
 def test_05_cofree_monoid_action_is_right_adjoint(adjunction_mon):
-    rep, elapsed = adjunction_mon
+    rep, elapsed, squares = adjunction_mon
     by = _require(rep, "cofree-adjunction[mon]")
     assert _count(by["cofree-adjunction[mon]"].detail, "triples") > 0
     assert elapsed < 300.0, f"suite took {elapsed:.1f}s"
+    _assert_nothing_evicted(squares)
 
 
 def test_06_surjective_cofree_agrees_and_ignores_the_section(adjunction_mon):
-    rep, _ = adjunction_mon
+    rep, _, _ = adjunction_mon
     _require(rep, "surjective-cofree[mon]")
 
 
 def test_07_semiring_invariants_give_the_right_adjoint():
-    rep = suite_adjunction_srng(CAT)
+    rep, squares = _cold_squares(lambda: suite_adjunction_srng(CAT))
     _require(rep, "invariants-adjunction[srng]")
+    _assert_nothing_evicted(squares)
 
 
 def test_08_split_epis_over_the_two_element_ring_are_schreier():

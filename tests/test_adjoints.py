@@ -71,6 +71,13 @@ def test_cofree_guard():
     with pytest.raises(GuardExceeded) as exc:
         cofree_mon(h, F, guard=1000)  # 4^9 candidates
     assert (exc.value.required, exc.value.flag) == (4 ** 9, "--guard-functions")
+    # The propagation walk tries fewer functions, but the guard still bounds
+    # |M| ** |B| = 2 ** 3: it runs at that bound and refuses one below it.
+    h, F = identity_hom(N3), CAT.monoid_actions["annih_n3_b2"]
+    assert cofree_mon(h, F, guard=8).elements == cofree_mon(h, F).elements
+    with pytest.raises(GuardExceeded) as exc:
+        cofree_mon(h, F, guard=7)
+    assert (exc.value.required, exc.value.limit) == (8, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +156,8 @@ def test_surjective_cofree_rejects_non_sections():
     F = CAT.monoid_actions["zeroendo_b2_z2"]
     with pytest.raises(StructuralError):
         cofree_mon_surjective(cofree_mon(h, F), (0, 0))  # not a right inverse
+    with pytest.raises(StructuralError, match="element of E"):
+        cofree_mon_surjective(cofree_mon(h, F), (0, B2.size))  # one past E
     c = cofree_mon(Hom(B2, B2, (0, 0)), F)
     with pytest.raises(StructuralError):
         cofree_mon_surjective(c, (0, 0))  # h not surjective

@@ -23,7 +23,7 @@ import re
 import pytest
 
 from schreierkit import (Hom, Kind, MonoidAction, Point, SemiringAction,
-                         build_catalog, check_coherence_along,
+                         StructuralError, build_catalog, check_coherence_along,
                          check_schreier, cofree_mon,
                          cofree_mon_surjective, counit_mon,
                          decompose_kernel_word, equivariant_homs,
@@ -205,6 +205,13 @@ def _mixed_pairs_with_zero_retractions(inst, word):
     return decompose_kernel_word(inst, word)
 
 
+def _every_letter_out_of_range(inst, word):
+    """decompose_kernel_word whose letter-range test rejects every letter, so
+    that every word falls outside the hypothesis."""
+    tag, x = word[0]
+    raise StructuralError(f"letter {tag}({x}) out of range")
+
+
 # the first failing word as the decompose-words witness shows it
 ONE_LETTER = r"\(\('[fg]', \d+\),\)\)"
 MIXED_PAIR = r"\(\('f', \d+\), \('g', \d+\)\)\)|\(\('g', \d+\), \('f', \d+\)\)\)"
@@ -280,6 +287,11 @@ COHERENCE_ROWS = {
         {"decompose-product[srng]":
              r'decomposed=96, .*"failing": \[".*", \d+, \d+, "(fg|gf)"\]',
          "decompose-words[srng]": rf"decomposed=2892, .*({MIXED_PAIR})"}),
+    # no word is decomposed, so neither line certifies anything
+    "srng-every-word-outside-hypothesis": (
+        suites, "decompose_kernel_word", _every_letter_out_of_range,
+        {"decompose-product[srng]": r"^decomposed=0, outside hypothesis=[1-9]\d* null$",
+         "decompose-words[srng]": r"^decomposed=0, outside hypothesis=[1-9]\d* null$"}),
 }
 
 

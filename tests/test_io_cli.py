@@ -531,6 +531,13 @@ def test_cli_radjoint_mon_sections(tmp_path, capsys):
     assert "comparison map is not injective" in capsys.readouterr().out
     assert main(base + ["--section", "0,0"]) == 2  # wrong length
     assert main(base + ["--section", "zero"]) == 2  # not integers
+    # |M| ** |B| = 2 ** 1: the bound runs, one below it exits 2 naming the flag
+    assert main(base + ["--guard-functions", "2"]) == 0
+    capsys.readouterr()
+    assert main(base + ["--guard-functions", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("GuardExceeded: cofree_mon: needs 2 ")
+    assert "raise --guard-functions " in err
 
 
 def test_cli_radjoint_srng(tmp_path, capsys):
