@@ -13,15 +13,19 @@ point as map arrays (points.fibre_maps); a PointMorphism is built only for a
 CoherenceInstance the caller keeps.
 
 check_coherence_along takes the three pullbacks along h from its caller, so
-a sweep whose instances share points builds each pullback once per (h, point).
+a sweep whose instances share points builds each pullback once per (h, point);
+it transports f and g as plain rows, since the pulled-back squares hold by
+construction.
 
 For semirings the positive answer rests on an explicit decomposition of
 kernel elements of the middle point into sums of products of kernel images:
-decompose_kernel_word builds that expression tree and certifies it by
-evaluation; its rewrite steps hold by construction (f(h)s(b) = f(h s'(b))
-as f is a hom with f s' = s, and s(b1)s(b2) = s(b1 b2) as s is a hom), so
-they are not re-evaluated one by one.  The product identity for f(a)g(c)
-and g(c)f(a) is the case of the mixed two-letter word.
+decompose_kernel_word builds that expression tree in one pass, testing each
+leaf's kernel membership as it is made and folding its value into the sum
+that certifies the tree; its rewrite steps hold by construction (f(h)s(b) =
+f(h s'(b)) as f is a hom with f s' = s, and s(b1)s(b2) = s(b1 b2) as s is a
+hom), so they are not re-evaluated one by one.  evaluate_tree reads a
+returned tree independently.  The product identity for f(a)g(c) and
+g(c)f(a) is the case of the mixed two-letter word.
 """
 
 from __future__ import annotations
@@ -29,25 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
-                      closure_mask, generated_subalgebra, identity_hom,
-                      mask_of)
+                      closure_mask, mask_of)
 from .errors import ComputationError, StructuralError
-from .points import (Point, PointMorphism, PulledBackPoint, check_schreier,
-                     enumerate_split_epis, fibre_maps, kernel_algebra,
-                     schreier_retraction)
-
-
-@dataclass(frozen=True)
-class JseCheck:
-    """Verdict of a joint-strong-epimorphy test and the generated subset."""
-
-    ok: bool
-    generated: Subset
-
-
-def _generate(d: TabularAlgebra, seeds) -> JseCheck:
-    gen = generated_subalgebra(d, seeds)
-    return JseCheck(gen.is_all(), gen)
+from .points import (JseCheck, Point, PointMorphism, PulledBackPoint, _generate,
+                     check_schreier, enumerate_split_epis, fibre_maps,
+                     kernel_algebra, schreier_retraction)
 
 
 def jointly_strongly_epi(f: Hom, g: Hom) -> JseCheck:
@@ -158,6 +148,12 @@ def check_coherence_along(h: Hom, inst: CoherenceInstance,
     the left, middle and right points of inst.  Rejects instances whose pair
     is not jointly strongly epimorphic to begin with: preservation is only
     meaningful for pairs that have the property.
+
+    The pulled-back maps f_e(a, e) = (f(a), e) and g_e are transported as
+    rows, and no PointMorphism is built from them, because nothing it would
+    check can fail: f_e is a hom because f is one; its projection square
+    holds by definition; and its section square is f(s'(h(e))) = s(h(e)),
+    which the instance's own PointMorphism f already checked (likewise g).
     """
     if h.target != inst.base:
         raise StructuralError("check_coherence_along: h must land in the base")
@@ -165,16 +161,11 @@ def check_coherence_along(h: Hom, inst: CoherenceInstance,
         raise StructuralError("the pair is not jointly strongly epimorphic over the base")
     middle_index = {pair: i for i, pair in enumerate(pulled_middle.pairs)}
 
-    def transport(pulled_src, total_map) -> Hom:
-        rows = tuple(middle_index[(total_map[a], e)] for (a, e) in pulled_src.pairs)
-        return Hom(pulled_src.point.A, pulled_middle.point.A, rows)
+    def transport(pulled_src, total_map) -> list[int]:
+        return [middle_index[(total_map[a], e)] for (a, e) in pulled_src.pairs]
 
-    f_e = transport(pulled_left, inst.f.g.map)
-    g_e = transport(pulled_right, inst.g.g.map)
-    # Squares of the pulled-back morphisms; construction failure is a bug.
-    PointMorphism(pulled_left.point, pulled_middle.point, f_e, identity_hom(h.source))
-    PointMorphism(pulled_right.point, pulled_middle.point, g_e, identity_hom(h.source))
-    return jointly_strongly_epi(f_e, g_e)
+    return _generate(pulled_middle.point.A, transport(pulled_left, inst.f.g.map)
+                     + transport(pulled_right, inst.g.g.map))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +177,7 @@ def check_coherence_along(h: Hom, inst: CoherenceInstance,
 
 
 def evaluate_tree(inst: CoherenceInstance, tree) -> int:
+    """The value of an expression tree in the middle algebra D."""
     d = inst.middle.A
     tag = tree[0]
     if tag == "f":
@@ -200,22 +192,6 @@ def evaluate_tree(inst: CoherenceInstance, tree) -> int:
     for v in vals[1:]:
         acc = table[acc][v]
     return acc
-
-
-def _leaf_membership(inst: CoherenceInstance, tree):
-    tag = tree[0]
-    if tag == "f":
-        if tree[1] not in inst.H:
-            raise ComputationError(f"leaf f({tree[1]}) escapes the kernel H")
-        return
-    if tag == "g":
-        if tree[1] not in inst.L:
-            raise ComputationError(f"leaf g({tree[1]}) escapes the kernel L")
-        return
-    if tag == "szero":
-        return
-    for t in tree[1:]:
-        _leaf_membership(inst, t)
 
 
 @dataclass(frozen=True)
@@ -241,8 +217,11 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     factors are absorbed into neighbouring kernel leaves (f(h)s(b) = f(h s'(b))
     and symmetrically), adjacent section factors multiply, and the all-section
     term is s of the product of the base values, which the hypothesis forces
-    to 0.  Checked: each letter split, that vanishing, leaf membership in H
-    and L, and the value of the final tree.  Each absorption holds by
+    to 0.  One pass checks, in this order: each letter in range, the
+    hypothesis, each letter split, that vanishing (from the base values),
+    then the other 2^n - 1 summands as they are built: each leaf's membership
+    in H or L, in tree order, with its value folded into the running sum,
+    which must come to the word's value.  Each absorption holds by
     construction, so none is re-evaluated: f(h)s(b) = f(h)f(s'(b)) =
     f(h s'(b)) as f is a hom and f s' = s (PointMorphism checks that square),
     and s(b1)s(b2) = s(b1 b2) as s is a hom.
@@ -251,7 +230,7 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     word = tuple(word)
     if not word:
         raise StructuralError("cannot decompose the empty word")
-    D = inst.middle.A
+    D, B = inst.middle.A, inst.base
     dmul, dadd = D.op_table("mul"), D.add
     smap = inst.middle.s.map
     # per letter tag: its source point and its map into D
@@ -272,54 +251,49 @@ def decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
     letters = [(v, (tag, q[tag][x]), sides[tag][0].f.map[x])
                for v, (tag, x) in zip(values, word)]
 
-    for value, leaf, b in letters:  # each split checked: letter = leaf + s(b)
-        if dadd[evaluate_tree(inst, leaf)][smap[b]] != value:
+    for value, (tag, h), b in letters:  # each split checked: letter = leaf + s(b)
+        if dadd[sides[tag][1][h]][smap[b]] != value:
             raise ComputationError(f"Schreier split fails for letter of value {value}")
 
-    def merge(x, y):
-        # The factor replacing adjacent factors x y, or None for two leaves.
-        (k1, p1), (k2, p2) = x, y
-        if k1 == "s" and k2 == "s":
-            return ("s", inst.base.mul(p1, p2))
-        if k2 == "s":  # f(h) s(b) = f(h s'(b)), and likewise for g
-            src = sides[p1[0]][0]
-            return ("leaf", (p1[0], src.A.mul(p1[1], src.s.map[p2])))
-        if k1 == "s":
-            src = sides[p2[0]][0]
-            return ("leaf", (p2[0], src.A.mul(src.s.map[p1], p2[1])))
-        return None
+    vanishing = tuple(b for _, _, b in letters)
+    prod = vanishing[0]
+    for b in vanishing[1:]:
+        prod = B.mul(prod, b)
+    if prod != 0:  # the all-section term is s(prod)
+        raise ComputationError("all-section term does not vanish")
 
-    def absorb(factors):
-        # One left fold: out is always [s] or a run of kernel leaves.
-        out = []
-        for cur in factors:
-            repl = merge(out[-1], cur) if out else None
-            if repl is None:
-                out.append(cur)
-            else:
-                out[-1] = repl
-        return out
-
+    kernels = {"f": ("H", inst.H), "g": ("L", inst.L)}
     n = len(letters)
-    summands = []
-    for mask in range(1 << n):
-        factors = [("s", b) if mask & (1 << i) else ("leaf", leaf)
-                   for i, (_, leaf, b) in enumerate(letters)]
-        reduced = absorb(factors)
-        if mask == (1 << n) - 1:
-            # s of the product of the base values, which the hypothesis forces to 0
-            if reduced != [("s", 0)]:
-                raise ComputationError("all-section term does not vanish")
-            summands.append(("szero",))
-            continue
-        leaves = [payload for _, payload in reduced]
+    summands, total = [], None
+    for mask in range((1 << n) - 1):  # every summand but the all-section one
+        # One left fold: section factors before the first leaf multiply into
+        # pending, the first leaf absorbs them, and later leaves absorb the
+        # section factors that follow them.
+        leaves, pending = [], None
+        for i, (_, (tag, h), b) in enumerate(letters):
+            if not mask >> i & 1:
+                if pending is not None:  # s(b) f(h) = f(s'(b) h), and likewise for g
+                    src = sides[tag][0]
+                    h, pending = src.A.mul(src.s.map[pending], h), None
+                leaves.append((tag, h))
+            elif leaves:  # f(h) s(b) = f(h s'(b)), and likewise for g
+                t, y = leaves[-1]
+                src = sides[t][0]
+                leaves[-1] = (t, src.A.mul(y, src.s.map[b]))
+            else:
+                pending = b if pending is None else B.mul(pending, b)
+        term = None
+        for tag, h in leaves:
+            name, kernel = kernels[tag]
+            if h not in kernel:
+                raise ComputationError(f"leaf {tag}({h}) escapes the kernel {name}")
+            v = sides[tag][1][h]
+            term = v if term is None else dmul[term][v]
+        total = term if total is None else dadd[total][term]
         summands.append(leaves[0] if len(leaves) == 1 else ("mul", *leaves))
-    tree = ("add", *summands)
-    _leaf_membership(inst, tree)
-    got = evaluate_tree(inst, tree)
-    if got != k:
-        raise ComputationError(f"decomposition evaluates to {got}, expected {k}")
-    return Decomposition(inst, k, tree, tuple(b for _, _, b in letters))
+    if total != k:
+        raise ComputationError(f"decomposition evaluates to {total}, expected {k}")
+    return Decomposition(inst, k, ("add", *summands, ("szero",)), vanishing)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ homomorphism in general.
 
 Fibre morphisms (over the identity of the base) are swept as map arrays,
 fibre_maps; ssfl_facts decides the split short five lemma on one of them
-for the verify sweep, the search and the witness replay alike.
+for the verify sweep, the search and the witness replay alike.  JseCheck is
+the one generation verdict: a strong point is the joint strong epimorphy of
+the kernel inclusion and the section, and coherence reads the same verdict.
 """
 
 from __future__ import annotations
@@ -132,17 +134,22 @@ def schreier_retraction(p: Point) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class StrongPointCheck:
+class JseCheck:
+    """Verdict of a joint-strong-epimorphy test and the generated subset."""
+
     ok: bool
     generated: Subset
 
 
-def is_strong_point(p: Point) -> StrongPointCheck:
+def _generate(d: TabularAlgebra, seeds) -> JseCheck:
+    gen = generated_subalgebra(d, seeds)
+    return JseCheck(gen.is_all(), gen)
+
+
+def is_strong_point(p: Point) -> JseCheck:
     """Kernel and section image jointly generate A (the varietal reading of
     'kernel inclusion and section jointly strongly epimorphic')."""
-    gens = set(p.kernel.members) | set(p.s.map)
-    generated = generated_subalgebra(p.A, gens)
-    return StrongPointCheck(generated.is_all(), generated)
+    return _generate(p.A, p.kernel.members + p.s.map)
 
 
 def kernel_algebra(p: Point) -> tuple[TabularAlgebra, tuple[int, ...]]:

@@ -15,7 +15,8 @@ from schreierkit import (CoherenceInstance, ComputationError, Hom, NotSchreier,
                          check_ring_base_schreier, check_schreier,
                          coherence_instances, decompose_kernel_word,
                          dumps_canonical, evaluate_tree, identity_hom,
-                         is_additive_group, jointly_strongly_epi,
+                         identity_point, is_additive_group,
+                         jointly_strongly_epi,
                          jse_in_fibre, kernel_algebra, pullback_point,
                          replay_witness, schreier_retraction,
                          search_counterexamples)
@@ -195,6 +196,21 @@ def _identity_instance(point_name):
     return CoherenceInstance(m, m)
 
 
+def test_coherence_instance_refuses_a_non_fibre_morphism_and_two_middles():
+    b2xb2 = CAT.monoids["b2xb2"]
+    mid = identity_point(b2xb2)
+    swap = Hom(b2xb2, b2xb2, (0, 2, 1, 3))  # (x, y) |-> (y, x)
+    twisted = PointMorphism(mid, mid, swap, swap)
+    fibre = PointMorphism(mid, mid, identity_hom(b2xb2), identity_hom(b2xb2))
+    for f, g in ((twisted, fibre), (fibre, twisted)):
+        with pytest.raises(StructuralError, match="built from fibre morphisms"):
+            CoherenceInstance(f, g)
+    other = identity_point(B2)
+    elsewhere = PointMorphism(other, other, identity_hom(B2), identity_hom(B2))
+    with pytest.raises(StructuralError, match="share the middle point"):
+        CoherenceInstance(fibre, elsewhere)
+
+
 def _product_word(a, c, order="fg"):
     return (("f", a), ("g", c)) if order == "fg" else (("g", c), ("f", a))
 
@@ -291,8 +307,10 @@ def test_word_decomposition_rejections():
         decompose_kernel_word(inst, ())
     with pytest.raises(StructuralError):
         decompose_kernel_word(inst, (("h", 0),))
-    with pytest.raises(StructuralError):
-        decompose_kernel_word(inst, (("f", 99),))
+    for letter in (("f", 99), ("f", inst.left.A.size), ("g", inst.right.A.size),
+                   ("f", -1)):
+        with pytest.raises(StructuralError, match="out of range"):
+            decompose_kernel_word(inst, (letter,))
     with pytest.raises(StructuralError):
         decompose_kernel_word(inst, (("f", 1),))  # lands over base 1, not 0
 

@@ -1,11 +1,14 @@
 """Differential tests: the product decomposition (now the mixed two-letter
 word), the word decomposition (now one left fold over the retractions the
-instance holds, and then without the per-merge re-evaluations and the
-certificate checks that were equal by construction), coherence along change
-of base (now on pullbacks its caller builds once per (h, point)) and the
-catalog coherence instances (now one jse_pairs sweep) against the routines
-they replaced, kept here verbatim as oracles."""
+instance holds, then without the per-merge re-evaluations and the certificate
+checks that were equal by construction, and then one pass that tests each
+leaf and folds its value as it is built instead of walking the tree twice),
+coherence along change of base (now on pullbacks its caller builds once per
+(h, point), without re-proving the pulled-back squares) and the catalog
+coherence instances (now one jse_pairs sweep) against the routines they
+replaced, kept here verbatim as oracles."""
 
+import copy
 import functools
 import itertools
 
@@ -17,11 +20,11 @@ from schreierkit import (CoherenceInstance, ComputationError, Hom,
                          coherence_instances, decompose_kernel_word,
                          enumerate_fibre_morphisms, enumerate_homs,
                          identity_hom, jointly_strongly_epi, pullback_point,
-                         schreier_retraction)
+                         schreier_retraction, subset)
 from schreierkit.algebra import DEFAULT_HOM_GUARD
 from schreierkit.catalog import Catalog
-from schreierkit.coherence import (Decomposition, JseCheck, _leaf_membership,
-                                   _require_semiring, evaluate_tree)
+from schreierkit.coherence import (Decomposition, JseCheck, _require_semiring,
+                                   evaluate_tree)
 from schreierkit.suites import COHERENCE_ALONG_MAX, _sized
 
 CAT = build_catalog()
@@ -29,6 +32,22 @@ CAT = build_catalog()
 
 # ---------------------------------------------------------------------------
 # the oracles
+
+
+def _leaf_membership(inst: CoherenceInstance, tree):
+    tag = tree[0]
+    if tag == "f":
+        if tree[1] not in inst.H:
+            raise ComputationError(f"leaf f({tree[1]}) escapes the kernel H")
+        return
+    if tag == "g":
+        if tree[1] not in inst.L:
+            raise ComputationError(f"leaf g({tree[1]}) escapes the kernel L")
+        return
+    if tag == "szero":
+        return
+    for t in tree[1:]:
+        _leaf_membership(inst, t)
 
 
 def _oracle_certify(inst: CoherenceInstance, value: int, tree, vanishing) -> Decomposition:
@@ -138,6 +157,95 @@ def _oracle_parent_decompose_kernel_word(inst: CoherenceInstance, word) -> Decom
         summands.append(leaves[0] if len(leaves) == 1 else ("mul", *leaves))
     tree = ("add", *summands)
     return _oracle_certify(inst, k, tree, tuple(b for _, _, b in letters))
+
+
+def _oracle_two_walk_decompose_kernel_word(inst: CoherenceInstance, word) -> Decomposition:
+    """Decompose a product of letters f(a_i), g(c_i) lying in the kernel K.
+
+    Each letter splits through its Schreier decomposition into a kernel image
+    plus a section value; distributing the product gives 2^n terms.  Section
+    factors are absorbed into neighbouring kernel leaves (f(h)s(b) = f(h s'(b))
+    and symmetrically), adjacent section factors multiply, and the all-section
+    term is s of the product of the base values, which the hypothesis forces
+    to 0.  Checked: each letter split, that vanishing, leaf membership in H
+    and L, and the value of the final tree.  Each absorption holds by
+    construction, so none is re-evaluated: f(h)s(b) = f(h)f(s'(b)) =
+    f(h s'(b)) as f is a hom and f s' = s (PointMorphism checks that square),
+    and s(b1)s(b2) = s(b1 b2) as s is a hom.
+    """
+    _require_semiring(inst)
+    word = tuple(word)
+    if not word:
+        raise StructuralError("cannot decompose the empty word")
+    D = inst.middle.A
+    dmul, dadd = D.op_table("mul"), D.add
+    smap = inst.middle.s.map
+    # per letter tag: its source point and its map into D
+    sides = {"f": (inst.left, inst.f.g.map), "g": (inst.right, inst.g.g.map)}
+    for tag, x in word:
+        if tag not in ("f", "g"):
+            raise StructuralError(f"unknown letter tag {tag!r}")
+        if not (0 <= x < sides[tag][0].A.size):
+            raise StructuralError(f"letter {tag}({x}) out of range")
+    values = [sides[tag][1][x] for tag, x in word]
+    k = values[0]
+    for v in values[1:]:
+        k = dmul[k][v]
+    if inst.middle.f.map[k] != 0:
+        raise StructuralError("hypothesis fails: the word does not land in the kernel")
+
+    q = dict(zip("fg", inst.retractions))
+    letters = [(v, (tag, q[tag][x]), sides[tag][0].f.map[x])
+               for v, (tag, x) in zip(values, word)]
+
+    for value, leaf, b in letters:  # each split checked: letter = leaf + s(b)
+        if dadd[evaluate_tree(inst, leaf)][smap[b]] != value:
+            raise ComputationError(f"Schreier split fails for letter of value {value}")
+
+    def merge(x, y):
+        # The factor replacing adjacent factors x y, or None for two leaves.
+        (k1, p1), (k2, p2) = x, y
+        if k1 == "s" and k2 == "s":
+            return ("s", inst.base.mul(p1, p2))
+        if k2 == "s":  # f(h) s(b) = f(h s'(b)), and likewise for g
+            src = sides[p1[0]][0]
+            return ("leaf", (p1[0], src.A.mul(p1[1], src.s.map[p2])))
+        if k1 == "s":
+            src = sides[p2[0]][0]
+            return ("leaf", (p2[0], src.A.mul(src.s.map[p1], p2[1])))
+        return None
+
+    def absorb(factors):
+        # One left fold: out is always [s] or a run of kernel leaves.
+        out = []
+        for cur in factors:
+            repl = merge(out[-1], cur) if out else None
+            if repl is None:
+                out.append(cur)
+            else:
+                out[-1] = repl
+        return out
+
+    n = len(letters)
+    summands = []
+    for mask in range(1 << n):
+        factors = [("s", b) if mask & (1 << i) else ("leaf", leaf)
+                   for i, (_, leaf, b) in enumerate(letters)]
+        reduced = absorb(factors)
+        if mask == (1 << n) - 1:
+            # s of the product of the base values, which the hypothesis forces to 0
+            if reduced != [("s", 0)]:
+                raise ComputationError("all-section term does not vanish")
+            summands.append(("szero",))
+            continue
+        leaves = [payload for _, payload in reduced]
+        summands.append(leaves[0] if len(leaves) == 1 else ("mul", *leaves))
+    tree = ("add", *summands)
+    _leaf_membership(inst, tree)
+    got = evaluate_tree(inst, tree)
+    if got != k:
+        raise ComputationError(f"decomposition evaluates to {got}, expected {k}")
+    return Decomposition(inst, k, tree, tuple(b for _, _, b in letters))
 
 
 def _oracle_decompose_product_element(inst: CoherenceInstance, a: int, c: int,
@@ -469,3 +577,49 @@ def test_coherence_along_shared_pullbacks_match_the_oracle(variety, pairs):
                 assert (got.ok, got.generated) == (want.ok, want.generated), h.map
                 checked += 1
     assert checked == pairs
+
+
+def _with_shifted_sections(inst: CoherenceInstance) -> CoherenceInstance:
+    """inst with the sections s' and s'' of its left and right points moved
+    one element on, so that the folded value can miss the word's, and with H
+    cut down to {0}, so that leaves escape it (a semiring kernel is an ideal,
+    so no section can push a leaf out of it)."""
+    wrong = copy.copy(inst)
+    for side in ("f", "g"):
+        m = copy.copy(getattr(inst, side))
+        src = copy.copy(m.source)
+        shifted = tuple((v + 1) % src.A.size for v in src.s.map)
+        object.__setattr__(src, "s", Hom(src.B, src.A, shifted))
+        if side == "f":
+            object.__setattr__(src, "kernel", subset(src.A, (0,)))
+        object.__setattr__(m, "source", src)
+        object.__setattr__(wrong, side, m)
+    return wrong
+
+
+def _error_or_certificate(fn, inst, word):
+    try:
+        d = fn(inst, word)
+    except (StructuralError, ComputationError) as exc:
+        return type(exc), str(exc)
+    return d.value, d.tree, d.vanishing
+
+
+def test_one_pass_raises_the_two_walk_error_first_on_shifted_sections():
+    # the one pass tests membership in tree order and the value last, as the
+    # two walks did: the same first error, with the same message, on every
+    # sweep word of instances whose absorbed leaves go wrong
+    messages = set()
+    for _, inst in coherence_instances(CAT, "srng"):
+        wrong = _with_shifted_sections(inst)
+        alphabet = ([("f", a) for a in inst.left.A.elements]
+                    + [("g", c) for c in inst.right.A.elements])
+        for n in range(1, 4):
+            for word in itertools.product(alphabet, repeat=n):
+                got = _error_or_certificate(decompose_kernel_word, wrong, word)
+                want = _error_or_certificate(_oracle_two_walk_decompose_kernel_word,
+                                             wrong, word)
+                assert got == want, word
+                if want[0] is ComputationError:
+                    messages.add(want[1].split(" ")[0])
+    assert messages == {"leaf", "decomposition"}

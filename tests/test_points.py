@@ -4,8 +4,9 @@ five lemma."""
 
 import pytest
 
-from schreierkit import (Hom, NotSchreier, Point, SchreierStatus,
-                         StructuralError, build_catalog, check_schreier,
+from schreierkit import (Hom, NotSchreier, Point, PointMorphism,
+                         SchreierStatus, StructuralError, build_catalog,
+                         check_schreier,
                          enumerate_fibre_morphisms, enumerate_split_epis,
                          fibre_maps, fibre_product_point, identity_hom,
                          identity_point, is_strong_point, points_isomorphic,
@@ -162,6 +163,13 @@ def test_fibre_morphism_count_frozen():
     # plus the collapse x |-> 0; frozen by the brute-force scan
     assert len(ms) == 2
     assert all(m.is_fibre for m in ms)
+
+
+def test_a_morphism_over_a_base_automorphism_is_not_fibre():
+    b2xb2 = CAT.monoids["b2xb2"]
+    p = identity_point(b2xb2)
+    swap = Hom(b2xb2, b2xb2, (0, 2, 1, 3))  # (x, y) |-> (y, x)
+    assert not PointMorphism(p, p, swap, swap).is_fibre
 
 
 def test_ssfl_on_schreier_catalog():
