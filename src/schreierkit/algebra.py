@@ -8,13 +8,15 @@ distinguished zero.  The binary operation `add` must satisfy 0+x = x+0 = x
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .errors import GuardExceeded, SignatureMismatch, StructuralError
 
 DEFAULT_HOM_GUARD = 10_000_000
+_SIGNATURES: dict[tuple, tuple] = {}  # (kind, op names) -> the one shared tuple
+_CARRIERS: dict[int, range] = {}  # size -> the one shared range(size)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -50,14 +52,17 @@ def _as_table(t, rows: int, cols: int, size: int, what: str) -> Table:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TabularAlgebra:
     """A finite algebra given by tables: zero element 0, binary `add`, named extra ops.
 
     kind=MONOID/COMMUTATIVE_MONOID carry no extra ops; kind=SEMIRING carries
     exactly one extra op named "mul"; kind=JT_GENERIC carries any extra ops
     plus a list of laws declared per op (checked by validate_algebra, never
-    assumed).  Values are immutable and hashable.
+    assumed).  Values are immutable and hashable.  The hash (of the five
+    fields) is computed on first use and kept: at construction it would cost
+    11.5 MB on the jt size-4 universe.  signature() is one tuple per kind and
+    op names, shared by their algebras, so same_signature is one cheap compare.
     """
 
     kind: Kind
@@ -65,6 +70,9 @@ class TabularAlgebra:
     add: Table
     extra_ops: tuple[tuple[str, Table], ...] = ()
     declared_laws: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    elements: range = field(init=False, repr=False, compare=False)
+    _signature: tuple = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -92,14 +100,15 @@ class TabularAlgebra:
             for law in laws:
                 if law not in KNOWN_LAWS:
                     raise StructuralError(f"unknown law {law!r}")
+        sig = (self.kind, names)
+        object.__setattr__(self, "_signature", _SIGNATURES.setdefault(sig, sig))
+        object.__setattr__(self, "elements", _CARRIERS.setdefault(n, range(n)))
 
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    @property
-    def op_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.extra_ops)
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.kind, self.size, self.add, self.extra_ops, self.declared_laws)))
+        return self._hash
 
     def op_table(self, name: str) -> Table:
         if name == "add":
@@ -112,14 +121,11 @@ class TabularAlgebra:
     def all_tables(self) -> tuple[tuple[str, Table], ...]:
         return (("add", self.add),) + self.extra_ops
 
-    def plus(self, x: int, y: int) -> int:
-        return self.add[x][y]
-
     def mul(self, x: int, y: int) -> int:
         return self.op_table("mul")[x][y]
 
     def signature(self) -> tuple:
-        return (self.kind, self.op_names)
+        return self._signature
 
 
 def make_algebra(kind: Kind, add, ops=None, laws=None) -> TabularAlgebra:
@@ -131,7 +137,7 @@ def make_algebra(kind: Kind, add, ops=None, laws=None) -> TabularAlgebra:
 
 
 def same_signature(a: TabularAlgebra, b: TabularAlgebra) -> bool:
-    return a.signature() == b.signature()
+    return a._signature == b._signature
 
 
 def _require_same_signature(a: TabularAlgebra, b: TabularAlgebra, what: str):
@@ -290,12 +296,6 @@ class Hom:
         for v in self.map:
             if not (0 <= v < self.target.size):
                 raise StructuralError(f"map value {v} out of range for target of size {self.target.size}")
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.map)))
 
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)

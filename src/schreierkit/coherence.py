@@ -31,6 +31,7 @@ g(c)f(a) is the case of the mixed two-letter word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (DEFAULT_HOM_GUARD, Hom, Kind, Subset, TabularAlgebra,
                       closure_mask, mask_of)
@@ -91,6 +92,10 @@ class CoherenceInstance:
         q_left, _, q_right = (schreier_retraction(p)
                               for p in (self.left, self.middle, self.right))
         object.__setattr__(self, "retractions", (q_left, q_right))
+
+    @cached_property
+    def jse(self) -> JseCheck:  # is (f, g) jointly strongly epi: decided once, on first use
+        return jointly_strongly_epi(self.f.g, self.g.g)
 
     @property
     def left(self) -> Point:
@@ -157,7 +162,7 @@ def check_coherence_along(h: Hom, inst: CoherenceInstance,
     """
     if h.target != inst.base:
         raise StructuralError("check_coherence_along: h must land in the base")
-    if not jointly_strongly_epi(inst.f.g, inst.g.g).ok:
+    if not inst.jse.ok:
         raise StructuralError("the pair is not jointly strongly epimorphic over the base")
     middle_index = {pair: i for i, pair in enumerate(pulled_middle.pairs)}
 

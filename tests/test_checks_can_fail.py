@@ -1,5 +1,6 @@
 """Every adjunction, action/point roundtrip, coherence-along, decomposition
-and split-short-five-lemma verdict line can fail.
+and split-short-five-lemma verdict line, and the non-Schreier witness line
+of the ring-base sweep, can fail.
 
 A check that no fault can turn red certifies nothing.  Each row of the
 table below puts one wrong construction in place of the right one, at the
@@ -12,7 +13,8 @@ four semirings), small enough that the whole table takes about a second;
 suite_roundtrip runs on the whole catalog.  The coherence rows run
 suite_coherence on a second slice: two points and three algebras of each
 variety.  The ssfl rows run suite_ssfl on the whole catalog, tampered so
-that its Schreier points admit one of its points that is not.
+that its Schreier points admit one of its points that is not.  The
+ring-base rows run suite_ring_base on the whole catalog.
 """
 
 import copy
@@ -31,11 +33,11 @@ from schreierkit import (Hom, Kind, MonoidAction, Point, SemiringAction,
                          restrict_action, restrict_invariant_map,
                          semidirect_point, suite_adjunction_mon,
                          suite_adjunction_srng, suite_coherence,
-                         suite_roundtrip, suite_ssfl)
+                         suite_ring_base, suite_roundtrip, suite_ssfl)
 from schreierkit import adjoints, coherence, suites
 from schreierkit.adjoints import _mediating_map
 from schreierkit.catalog import Catalog
-from schreierkit.points import PulledBackPoint
+from schreierkit.points import PulledBackPoint, SchreierStatus
 
 CAT = build_catalog()
 SLICE = Catalog(
@@ -212,6 +214,20 @@ def _every_letter_out_of_range(inst, word):
     raise StructuralError(f"letter {tag}({x}) out of range")
 
 
+def _alpha_twice(p):
+    """check_schreier reporting a uniqueness failure's first decomposition
+    twice, alphas=(sols[0], sols[0])."""
+    w = check_schreier(p)
+    return dataclasses.replace(w, alphas=(w.alphas[0],) * 2)
+
+
+def _existence_claimed(p):
+    """check_schreier reporting an existence failure at an element that does
+    have a decomposition."""
+    w = check_schreier(p)
+    return dataclasses.replace(w, status=SchreierStatus.EXISTENCE_FAILS, alphas=None)
+
+
 # the first failing word as the decompose-words witness shows it
 ONE_LETTER = r"\(\('[fg]', \d+\),\)\)"
 MIXED_PAIR = r"\(\('f', \d+\), \('g', \d+\)\)\)|\(\('g', \d+\), \('f', \d+\)\)\)"
@@ -292,6 +308,18 @@ COHERENCE_ROWS = {
         suites, "decompose_kernel_word", _every_letter_out_of_range,
         {"decompose-product[srng]": r"^decomposed=0, outside hypothesis=[1-9]\d* null$",
          "decompose-words[srng]": r"^decomposed=0, outside hypothesis=[1-9]\d* null$"}),
+}
+
+
+RING_BASE_LINES = ("ring-base-schreier[z2_ring]", "ring-base-precondition[bool_rig]",
+                   "non-schreier-over-bool_rig")
+RING_BASE_ROWS = {
+    "uniqueness-with-one-alpha": (
+        suites, "check_schreier", _alpha_twice,
+        {"non-schreier-over-bool_rig": r"^UniquenessFails\(a=3, alphas=\(0, 0\)\) null$"}),
+    "existence-where-alpha-exists": (
+        suites, "check_schreier", _existence_claimed,
+        {"non-schreier-over-bool_rig": r"^ExistenceFails\(a=3\) null$"}),
 }
 
 
@@ -376,3 +404,21 @@ def test_tampered_catalog_turns_its_ssfl_line_red(row):
     verdicts = {c.name: c for c in suite_ssfl(_admitting(admitted)).checks}
     assert sorted(verdicts) == ["ssfl[mon]", "ssfl[srng]"]
     _assert_red_exactly(verdicts, red)
+
+
+def _ring_base_verdicts():
+    return {c.name: c for c in suite_ring_base(CAT).checks}
+
+
+def test_every_ring_base_line_is_green_without_a_fault():
+    verdicts = _ring_base_verdicts()
+    assert sorted(verdicts) == sorted(RING_BASE_LINES)
+    _assert_red_exactly(verdicts, {})
+    assert verdicts["non-schreier-over-bool_rig"].detail == "UniquenessFails(a=3, alphas=(0, 1))"
+
+
+@pytest.mark.parametrize("row", RING_BASE_ROWS)
+def test_fault_turns_its_ring_base_line_red(monkeypatch, row):
+    module, name, fault, red = RING_BASE_ROWS[row]
+    monkeypatch.setattr(module, name, fault)
+    _assert_red_exactly(_ring_base_verdicts(), red)

@@ -14,7 +14,8 @@ from schreierkit import (CoherenceInstance, ComputationError, Hom, NotSchreier,
                          check_coherence_along, check_kernel_coherence,
                          check_ring_base_schreier, check_schreier,
                          coherence_instances, decompose_kernel_word,
-                         dumps_canonical, evaluate_tree, identity_hom,
+                         dumps_canonical, enumerate_homs, evaluate_tree,
+                         identity_hom,
                          identity_point, is_additive_group,
                          jointly_strongly_epi,
                          jse_in_fibre, kernel_algebra, pullback_point,
@@ -178,8 +179,29 @@ def test_coherence_along_rejects_wrong_target():
 def test_coherence_along_rejects_non_jse_pairs():
     inst = _section_pair_instance()
     legs = _legs(identity_hom(B2), inst)
-    with pytest.raises(StructuralError, match="not jointly strongly epimorphic"):
-        check_coherence_along(identity_hom(B2), inst, *legs)
+    for _ in range(2):  # the second time on the kept verdict
+        with pytest.raises(StructuralError, match="not jointly strongly epimorphic"):
+            check_coherence_along(identity_hom(B2), inst, *legs)
+
+
+def test_coherence_along_decides_the_precondition_once_per_instance(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return jointly_strongly_epi(f, g)
+
+    monkeypatch.setattr(coherence, "jointly_strongly_epi", counted)
+    _, inst = SRNG_INSTANCES[0]
+    inst = CoherenceInstance(inst.f, inst.g)
+    assert not calls  # building an instance decides nothing
+    along = 0
+    for E in (CAT.semirings["z2_ring"], CAT.semirings["bool_x_z2r"], inst.base):
+        for h in enumerate_homs(E, inst.base):
+            assert _along(h, inst).ok
+            along += 1
+    assert along > 2 and calls == [(inst.f.g, inst.g.g)]
+    assert inst.jse == jointly_strongly_epi(inst.f.g, inst.g.g)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +465,12 @@ def test_search_generic_universe_completes_at_size_two():
 
 
 def test_search_timeout_is_reported():
-    res = search_counterexamples("NonSchreier",
+    # The complete search takes 0.2-0.4 s, at least 10x the deadline, and its
+    # universe 1 ms, so the deadline falls inside the pair sweep; warm caches
+    # from earlier tests cannot finish it in time.
+    res = search_counterexamples("KernelCoherenceFailure",
                                  SearchBounds(variety="jt", max_size=3,
-                                              timeout_s=0.05))
+                                              timeout_s=0.02))
     assert res.timed_out and not res.completed
 
 
