@@ -61,8 +61,8 @@ class TabularAlgebra:
     plus a list of laws declared per op (checked by validate_algebra, never
     assumed).  Values are immutable and hashable.  The hash (of the five
     fields) is computed on first use and kept: at construction it would cost
-    11.5 MB on the jt size-4 universe.  signature() is one tuple per kind and
-    op names, shared by their algebras, so same_signature is one cheap compare.
+    11.5 MB on the jt size-4 universe.  `signature`, (kind, op names), is one
+    tuple shared by every algebra with that kind and those op names.
     """
 
     kind: Kind
@@ -71,7 +71,7 @@ class TabularAlgebra:
     extra_ops: tuple[tuple[str, Table], ...] = ()
     declared_laws: tuple[tuple[str, tuple[str, ...]], ...] = ()
     elements: range = field(init=False, repr=False, compare=False)
-    _signature: tuple = field(init=False, repr=False, compare=False)
+    signature: tuple = field(init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,7 +101,7 @@ class TabularAlgebra:
                 if law not in KNOWN_LAWS:
                     raise StructuralError(f"unknown law {law!r}")
         sig = (self.kind, names)
-        object.__setattr__(self, "_signature", _SIGNATURES.setdefault(sig, sig))
+        object.__setattr__(self, "signature", _SIGNATURES.setdefault(sig, sig))
         object.__setattr__(self, "elements", _CARRIERS.setdefault(n, range(n)))
 
     def __hash__(self) -> int:
@@ -124,9 +124,6 @@ class TabularAlgebra:
     def mul(self, x: int, y: int) -> int:
         return self.op_table("mul")[x][y]
 
-    def signature(self) -> tuple:
-        return self._signature
-
 
 def make_algebra(kind: Kind, add, ops=None, laws=None) -> TabularAlgebra:
     """Build an algebra from plain lists; `ops` maps name -> table."""
@@ -137,12 +134,12 @@ def make_algebra(kind: Kind, add, ops=None, laws=None) -> TabularAlgebra:
 
 
 def same_signature(a: TabularAlgebra, b: TabularAlgebra) -> bool:
-    return a._signature == b._signature
+    return a.signature == b.signature
 
 
 def _require_same_signature(a: TabularAlgebra, b: TabularAlgebra, what: str):
     if not same_signature(a, b):
-        raise SignatureMismatch(f"{what}: {a.signature()} vs {b.signature()}")
+        raise SignatureMismatch(f"{what}: {a.signature} vs {b.signature}")
 
 
 # ---------------------------------------------------------------------------

@@ -452,18 +452,20 @@ def suite_ring_base(cat: Catalog | None = None, *,
         rep.add("ring-base-precondition[bool_rig]", False,
                 "boolean semiring accepted despite not being a ring")
 
-    w = check_schreier(cat.points["diag_bool"])
-    rep.add("non-schreier-over-bool_rig", _refutes_schreier(w), w.describe())
+    p = cat.points["diag_bool"]
+    w = check_schreier(p)
+    rep.add("non-schreier-over-bool_rig", _refutes_schreier(p, w), w.describe())
     return rep
 
 
-def _refutes_schreier(w) -> bool:
-    """Two distinct kernel alphas with alpha + s(f(a)) = a, or none if existence fails?"""
-    if w.is_schreier:
+def _refutes_schreier(p, w) -> bool:
+    """Is w a non-Schreier witness for p: two distinct kernel alphas with
+    alpha + s(f(a)) = a, or none if existence fails?"""
+    if w.point is not p or w.is_schreier:
         return False
-    p, a = w.point, w.element
+    a = w.element
     sols = {alpha for alpha in p.kernel if p.A.add[alpha][p.section_image(a)] == a}
     if w.status is SchreierStatus.EXISTENCE_FAILS:
         return not sols
-    return len(set(w.alphas)) == 2 and set(w.alphas) <= sols
+    return w.alphas is not None and len(set(w.alphas)) == 2 and set(w.alphas) <= sols
 

@@ -221,6 +221,17 @@ def _alpha_twice(p):
     return dataclasses.replace(w, alphas=(w.alphas[0],) * 2)
 
 
+def _alphas_dropped(p):
+    """check_schreier reporting a uniqueness failure without its two alphas."""
+    return dataclasses.replace(check_schreier(p), alphas=None)
+
+
+def _witness_of_diag_b2(p):
+    """check_schreier reporting diag_b2's witness, which is right for
+    diag_b2 and reads the same as diag_bool's, whatever point it is asked."""
+    return check_schreier(CAT.points["diag_b2"])
+
+
 def _existence_claimed(p):
     """check_schreier reporting an existence failure at an element that does
     have a decomposition."""
@@ -320,6 +331,12 @@ RING_BASE_ROWS = {
     "existence-where-alpha-exists": (
         suites, "check_schreier", _existence_claimed,
         {"non-schreier-over-bool_rig": r"^ExistenceFails\(a=3\) null$"}),
+    "uniqueness-without-alphas": (
+        suites, "check_schreier", _alphas_dropped,
+        {"non-schreier-over-bool_rig": r"^UniquenessFails\(a=3, alphas=None\) null$"}),
+    "witness-of-another-point": (
+        suites, "check_schreier", _witness_of_diag_b2,
+        {"non-schreier-over-bool_rig": r"^UniquenessFails\(a=3, alphas=\(0, 1\)\) null$"}),
 }
 
 

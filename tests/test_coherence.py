@@ -464,14 +464,14 @@ def test_search_generic_universe_completes_at_size_two():
         assert res.examined == expect_examined
 
 
-def test_search_timeout_is_reported():
-    # The complete search takes 0.2-0.4 s, at least 10x the deadline, and its
-    # universe 1 ms, so the deadline falls inside the pair sweep; warm caches
-    # from earlier tests cannot finish it in time.
+def test_search_timeout_is_reported(search_deadline_at_tick):
+    # The complete search ticks 7,176 times, 87 of them while building its
+    # universe, so a deadline at tick 500 falls inside the pair sweep.
+    search_deadline_at_tick(500)
     res = search_counterexamples("KernelCoherenceFailure",
-                                 SearchBounds(variety="jt", max_size=3,
-                                              timeout_s=0.02))
+                                 SearchBounds(variety="jt", max_size=3))
     assert res.timed_out and not res.completed
+    assert 0 < res.examined < 65062
 
 
 def test_search_timeout_bounds_universe_generation():

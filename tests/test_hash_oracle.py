@@ -115,7 +115,7 @@ def test_same_signature_agrees_with_the_oracle():
     for a, b in itertools.product(pool, repeat=2):
         assert same_signature(a, b) == _oracle_same_signature(a, b)
     for a in SAMPLE:
-        assert a.signature() == _oracle_signature(a)
+        assert a.signature == _oracle_signature(a)
         assert a.elements == range(a.size)
 
 

@@ -453,15 +453,16 @@ def test_cli_search_witnesses_replay_via_report(tmp_path, capsys):
     assert main(["report", str(spath)]) == 1
 
 
-def test_cli_search_incomplete_sweeps_exit_nonzero(capsys):
-    # a complete run takes at least 10x the deadline, caches warm or cold
-    # (see test_search_timeout_is_reported in tests/test_coherence.py)
-    assert main(["search", "--goal", "KernelCoherenceFailure", "--variety", "jt",
-                 "--max-size", "3", "--timeout", "0.02"]) == 1
-    assert "timed out" in capsys.readouterr().out
+def test_cli_search_incomplete_sweeps_exit_nonzero(capsys, search_deadline_at_tick):
     assert main(["search", "--goal", "SSFLFailureOffClass",
                  "--max-witnesses", "1", "--timeout", "60"]) == 1
     assert "witness cap reached" in capsys.readouterr().out
+    # the deadline falls inside the pair sweep, as in
+    # test_search_timeout_is_reported in tests/test_coherence.py
+    search_deadline_at_tick(500)
+    assert main(["search", "--goal", "KernelCoherenceFailure", "--variety", "jt",
+                 "--max-size", "3", "--timeout", "0.02"]) == 1
+    assert "timed out" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,12 @@
 """Compare two checkouts on the benchmark, in alternating pairs of runs.
 
-    python3 tools/benchpair.py PARENT CHANGE [--pairs 5] [--seed 1]
-        [--seconds 15] [--workload NAME ...] [--logs DIR]
+    python3 tools/benchpair.py PARENT CHANGE [--pairs 10] [--seed 1]
+        [--workload NAME ...] [--logs DIR]
 
 PARENT and CHANGE are roots of two schreierkit checkouts.  For each
 workload, pair i runs ``perfbench/run.py --seed SEED+i --trace 0`` of each
-checkout once, from that checkout's root and unchanged; the side that runs
+checkout once, from that checkout's root and unchanged, for the
+``run_seconds`` of the change's BENCHMARK.json; the side that runs
 first alternates from pair to pair, so a drift in host speed falls on both
 sides alike.  Each run's standard error is kept in ``--logs``.
 
@@ -97,9 +98,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--workload", action="append",
                     help="a workload to compare (repeatable); default: every one")
     ap.add_argument("--logs", type=Path, help="directory for the runs' stderr")
@@ -121,7 +121,8 @@ def main() -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 log = logs / f"{workload}-{seed}-{side}.err"
-                runs[side].append(_run(trees[side], workload, seed, args.seconds, log))
+                runs[side].append(_run(trees[side], workload, seed, spec["run_seconds"],
+                                       log))
         _compare(workload, runs, better)
         sys.stdout.flush()
     print(f"stderr of every run: {logs}")
